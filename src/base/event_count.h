@@ -16,6 +16,12 @@
 
 namespace naiad {
 
+// Backstop for every idle wait in src/core and src/net. Long on purpose: a wait that
+// expires while work is pending is a lost wakeup, and a lost wakeup should cost visibly
+// (and be counted in ProcessMetrics::idle_backstop_expiries) rather than hide inside a
+// short poll period.
+inline constexpr std::chrono::microseconds kIdleBackstop = std::chrono::milliseconds(20);
+
 class EventCount {
  public:
   using Ticket = uint64_t;
@@ -27,10 +33,10 @@ class EventCount {
   }
 
   // Blocks until the generation advances past `ticket` (returns immediately if it already
-  // has). `timeout` bounds the wait so callers can run periodic maintenance.
-  void CommitWait(Ticket ticket, std::chrono::microseconds timeout) {
+  // has) or `timeout` expires. Returns true when notified, false when the timeout ran out.
+  bool CommitWait(Ticket ticket, std::chrono::microseconds timeout = kIdleBackstop) {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, timeout, [&] { return epoch_ != ticket; });
+    return cv_.wait_for(lock, timeout, [&] { return epoch_ != ticket; });
   }
 
   void NotifyAll() {

@@ -1,8 +1,6 @@
 #include "src/core/controller.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <tuple>
 
 #include "src/base/logging.h"
@@ -194,15 +192,17 @@ void Controller::PauseAndDrain() {
   event().NotifyAll();
   // Wait until every worker is parked with nothing queued anywhere. Parked workers cannot
   // generate messages, so (parked == N && inboxes empty && local queues empty) is stable
-  // provided external producers are quiet (the caller's contract).
+  // provided external producers are quiet (the caller's contract). A worker drains its
+  // inbox before it parks, and parking notifies the event, so the last park wakes us.
   while (true) {
+    const EventCount::Ticket ticket = event().PrepareWait();
     // Workers only park with empty local queues, so parked == N plus empty inboxes means
     // no message can be in flight anywhere in this process.
     if (parked_.load(std::memory_order_acquire) == cfg_.workers_per_process &&
         AllInboxesEmpty()) {
       return;
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    event().CommitWait(ticket);
   }
 }
 
@@ -260,6 +260,7 @@ void Controller::DiscardRemoteBundle(std::span<const uint8_t> frame) {
   // −count the dropped redelivery would have produced.
   progress_router_->Broadcast(
       {ProgressUpdate{Pointstamp{t, Location::Connector(ch)}, -item->count()}});
+  event().NotifyAll();  // the router may hold the −count until a worker's idle edge
 }
 
 }  // namespace naiad

@@ -195,8 +195,12 @@ class Controller {
   void Resume();
   bool pause_requested() const { return pause_.load(std::memory_order_acquire); }
 
-  // Pause bookkeeping (called by workers).
-  void NoteWorkerParked() { parked_.fetch_add(1, std::memory_order_acq_rel); }
+  // Pause bookkeeping (called by workers). Parking notifies so PauseAndDrain can wait on
+  // the event instead of polling.
+  void NoteWorkerParked() {
+    parked_.fetch_add(1, std::memory_order_acq_rel);
+    event().NotifyAll();
+  }
   void NoteWorkerUnparked() { parked_.fetch_sub(1, std::memory_order_acq_rel); }
 
   // Local-quiescence probe for the cluster checkpoint barrier: no worker inbox holds an

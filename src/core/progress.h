@@ -376,7 +376,8 @@ class ProgressTracker {
   }
 
   // Blocks the calling (non-worker) thread until `pred`-style conditions hold; used by
-  // Join and by output probes.
+  // Join and by output probes. Whatever can flip `pred` must notify the event (tracker
+  // changes, cancellation, recovery requests do); the wait's timeout is only the backstop.
   template <typename Pred>
   void WaitFor(Pred pred) const {
     while (true) {
@@ -384,7 +385,7 @@ class ProgressTracker {
       if (pred()) {
         return;
       }
-      event_->CommitWait(ticket, std::chrono::microseconds(1000));
+      event_->CommitWait(ticket);
     }
   }
 
@@ -573,9 +574,13 @@ class ProgressRouter {
  public:
   virtual ~ProgressRouter() = default;
   // Must (eventually) apply `updates` to every process's tracker, including the caller's.
+  // An accumulating router may hold them until some worker's idle edge, so a caller that
+  // is not a worker flushing its own buffer must notify the controller's event afterwards.
   virtual void Broadcast(std::vector<ProgressUpdate> updates) = 0;
   // Called when a worker runs out of work; accumulating routers flush held updates here.
-  virtual void OnWorkerIdle() {}
+  // Returns true when the flush was deferred: the caller must come back (rescan) instead
+  // of parking, since no event will announce that the deferral ended.
+  virtual bool OnWorkerIdle() { return false; }
 };
 
 class LocalProgressRouter final : public ProgressRouter {

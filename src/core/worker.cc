@@ -1,7 +1,6 @@
 #include "src/core/worker.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "src/core/controller.h"
 
@@ -264,11 +263,16 @@ void Worker::ThreadMain() {
         if (!ctl_->pause_requested() || stop_.load(std::memory_order_acquire)) {
           break;
         }
+        // Stay parked across wakeups meant for others (the event is shared): re-parking
+        // would notify again and keep every parked worker bouncing.
         ctl_->NoteWorkerParked();
-        EventCount::Ticket ticket = ctl_->event().PrepareWait();
-        if (inbox_.Empty() && ctl_->pause_requested() &&
-            !stop_.load(std::memory_order_acquire)) {
-          ctl_->event().CommitWait(ticket, std::chrono::microseconds(500));
+        for (;;) {
+          const EventCount::Ticket ticket = ctl_->event().PrepareWait();
+          if (!inbox_.Empty() || !ctl_->pause_requested() ||
+              stop_.load(std::memory_order_acquire)) {
+            break;
+          }
+          ctl_->event().CommitWait(ticket);
         }
         ctl_->NoteWorkerUnparked();
       }
@@ -280,12 +284,12 @@ void Worker::ThreadMain() {
       continue;
     }
     // No work: flush, let accumulating progress routers release held updates, then sleep
-    // unless something arrived or the frontier moved since our last notification scan.
-    FlushProgress();
-    ctl_->progress_router().OnWorkerIdle();
+    // unless something arrived, a flush was deferred, or the frontier moved since our last
+    // notification scan.
+    const bool deferred = IdleFlush();
     EventCount::Ticket ticket = ctl_->event().PrepareWait();
     uint64_t version = ctl_->tracker().version();
-    if (!inbox_.Empty() || stop_.load(std::memory_order_acquire) ||
+    if (deferred || !inbox_.Empty() || stop_.load(std::memory_order_acquire) ||
         ctl_->pause_requested()) {
       continue;
     }
@@ -293,7 +297,11 @@ void Worker::ThreadMain() {
       idle_version = version;
       continue;  // frontier may have moved; rescan notifications and purges
     }
-    ctl_->event().CommitWait(ticket, std::chrono::microseconds(500));
+    if (!ctl_->event().CommitWait(ticket)) {
+      if (obs::ProcessMetrics* pm = ctl_->obs().metrics().process()) {
+        pm->idle_backstop_expiries.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
   // Shutdown happens only after the computation drained, so every remaining purge's
   // guarantee time has passed; deliver them before exiting (their capability is ⊤, so
@@ -311,9 +319,9 @@ bool Worker::RunPass() {
   return DispatchOnce();
 }
 
-void Worker::IdleFlush() {
+bool Worker::IdleFlush() {
   FlushProgress();
-  ctl_->progress_router().OnWorkerIdle();
+  return ctl_->progress_router().OnWorkerIdle();
 }
 
 void Worker::DeliverFinalPurges() {

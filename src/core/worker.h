@@ -71,7 +71,9 @@ class Worker {
   // instead of a dedicated one. The same host thread must make every call for a given
   // worker — the single-owner-thread contract carries over unchanged.
   bool RunPass();             // one scheduling pass; true if any callback ran
-  void IdleFlush();           // the idle-edge duties of ThreadMain (flush + router poke)
+  // The idle-edge duties of ThreadMain (flush + router poke). Returns true when the router
+  // deferred its flush: the caller must rescan rather than park.
+  bool IdleFlush();
   void DeliverFinalPurges();  // the shutdown duties of ThreadMain (forced purge drain)
   bool InboxEmpty() const { return inbox_.Empty(); }
 

@@ -486,6 +486,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     // Start and strictly before any input is fed (see RestoreProcess's contract).
     if (!pending.empty()) {
       router_->Broadcast(std::move(pending));
+      ctl_->event().NotifyAll();  // the router may hold them until a worker's idle edge
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <string>
 #include <thread>
 
+#include "src/base/event_count.h"
 #include "src/base/stopwatch.h"
 #include "src/ser/bytes.h"
 
@@ -15,9 +16,14 @@ namespace naiad {
 
 namespace {
 
-// Barrier waits poll so a concurrent recovery request is never missed (matches the
-// ProgressTracker::WaitFor cadence).
-constexpr auto kPoll = std::chrono::milliseconds(1);
+// Every state a barrier waits for is published under mu_ (or, for the atomic flags,
+// followed by WakeWaiters) and notified on cv_, so barrier waits use kIdleBackstop or their
+// deadline only as a backstop.
+//
+// Pacing between quiet-point rounds that came back not quiet: the resumed workers absorb
+// the traffic still in flight before the next round pauses them again. Not a wait for any
+// event; a shorter gap only spends more control-frame round trips per barrier.
+constexpr auto kRoundPacing = std::chrono::microseconds(200);
 
 // Stall-barrier patience: a survivor that cannot reach the quiet cut in this window
 // (e.g. a peer that already finished and never joins the barrier) resumes and falls back
@@ -138,7 +144,7 @@ void ClusterControl::HandleControl(uint32_t src, std::span<const uint8_t> payloa
       NAIAD_CHECK(r.ok());
       if (!finished()) {
         recovery_requested_.store(true, std::memory_order_release);
-        cv_.notify_all();
+        WakeWaiters();
       }
       return;
     }
@@ -148,13 +154,13 @@ void ClusterControl::HandleControl(uint32_t src, std::span<const uint8_t> payloa
       if (!finished()) {
         NoteVictim(victim);
         recovery_requested_.store(true, std::memory_order_release);
-        cv_.notify_all();
+        WakeWaiters();
       }
       return;
     }
     case kCtlStallAbort: {
       stall_aborted_.store(true, std::memory_order_release);
-      cv_.notify_all();
+      WakeWaiters();
       return;
     }
     case kCtlStallReport:
@@ -357,7 +363,7 @@ void ClusterControl::ReportFailure(uint32_t victim) {
     // one that survives the aborter's teardown racing its own abort frame.
     if (victim != recovery_victim()) {
       stall_aborted_.store(true, std::memory_order_release);
-      cv_.notify_all();
+      WakeWaiters();
     }
     return;
   }
@@ -365,7 +371,7 @@ void ClusterControl::ReportFailure(uint32_t victim) {
   // and the supervisor's rendezvous — not this broadcast — is what guarantees liveness.
   NoteVictim(victim);
   recovery_requested_.store(true, std::memory_order_release);
-  cv_.notify_all();
+  WakeWaiters();
   const uint32_t coordinator = victim == 0 ? 1 : 0;  // lowest-ranked survivor
   if (transport_->process_id() == coordinator) {
     BroadcastRecover(victim);
@@ -386,10 +392,20 @@ void ClusterControl::RequestRecovery(uint32_t victim) {
     NoteVictim(victim);
   }
   recovery_requested_.store(true, std::memory_order_release);
-  cv_.notify_all();
+  WakeWaiters();
 }
 
 void ClusterControl::Finish() { finished_.store(true, std::memory_order_release); }
+
+void ClusterControl::WakeWaiters() {
+  // The empty critical section orders the caller's flag store before any cv_ waiter's
+  // predicate check under mu_, so the notify below cannot fall between check and wait.
+  { std::lock_guard<std::mutex> lock(mu_); }
+  cv_.notify_all();
+  // RunTerminationBarrier and the recovery harness also wait for these flags inside
+  // tracker WaitFor predicates, which park on the controller's event.
+  ctl_->event().NotifyAll();
+}
 
 ClusterControl::LinkCounters ClusterControl::SnapshotLinkCounters() const {
   const uint32_t n = transport_->processes();
@@ -490,7 +506,7 @@ void ClusterControl::HandleStallReport(uint32_t src, ByteReader& r) {
 
 void ClusterControl::AbortSelectiveStall() {
   stall_aborted_.store(true, std::memory_order_release);
-  cv_.notify_all();
+  WakeWaiters();
   std::vector<uint8_t> payload;
   ByteWriter w(&payload);
   w.WriteU8(kCtlStallAbort);
@@ -534,7 +550,7 @@ bool ClusterControl::RunStallBarrier(uint32_t victim) {
         if (stall_aborted() || std::chrono::steady_clock::now() >= deadline) {
           break;
         }
-        cv_.wait_for(lock, kPoll);
+        cv_.wait_until(lock, deadline);
       }
     }
     if (got && verdict) {
@@ -545,7 +561,7 @@ bool ClusterControl::RunStallBarrier(uint32_t victim) {
     if (!got || std::chrono::steady_clock::now() >= deadline) {
       break;
     }
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::this_thread::sleep_for(kRoundPacing);
   }
   ctl_->obs().tracer().ControlSpan(obs::TraceKind::kSelectiveStall, t0,
                                    obs::MonotonicNs(), victim, rounds, ok ? 1 : 0);
@@ -569,7 +585,7 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
       if (std::chrono::steady_clock::now() >= deadline) {
         return false;
       }
-      cv_.wait_for(lock, kPoll);
+      cv_.wait_until(lock, deadline);
     }
     return true;
   };
@@ -633,7 +649,7 @@ bool ClusterControl::RunTerminationBarrier() {
         if (recovery_requested_.load(std::memory_order_acquire)) {
           return false;
         }
-        cv_.wait_for(lock, kPoll);
+        cv_.wait_for(lock, kIdleBackstop);
       }
     }
     if (ok) {
@@ -687,7 +703,7 @@ bool ClusterControl::RunCheckpointBarrier(
         if (recovery_requested_.load(std::memory_order_acquire)) {
           break;
         }
-        cv_.wait_for(lock, kPoll);
+        cv_.wait_for(lock, kIdleBackstop);
       }
     }
     if (!got) {
@@ -699,7 +715,7 @@ bool ClusterControl::RunCheckpointBarrier(
     }
     // Not quiet yet: let the workers absorb whatever was still in flight, then retry.
     ctl_->Resume();
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    std::this_thread::sleep_for(kRoundPacing);
   }
 
   // Phase 2: globally quiet, workers still paused — first the cut hook (log windows must
@@ -734,7 +750,7 @@ bool ClusterControl::RunCheckpointBarrier(
         if (recovery_requested_.load(std::memory_order_acquire)) {
           return false;
         }
-        cv_.wait_for(lock, kPoll);
+        cv_.wait_for(lock, kIdleBackstop);
       }
     }
     const bool commit = all_ok && write_manifest(epoch);
@@ -757,7 +773,7 @@ bool ClusterControl::RunCheckpointBarrier(
       if (recovery_requested_.load(std::memory_order_acquire)) {
         return false;
       }
-      cv_.wait_for(lock, kPoll);
+      cv_.wait_for(lock, kIdleBackstop);
     }
   }
   if (committed) {

@@ -83,15 +83,17 @@ class HeartbeatFaultHook {
 };
 
 // Per-process perturbation of the progress accumulators (§3.3). All three calls must keep
-// the protocol's invariants: flushes may be delayed only boundedly (workers re-poll idle
-// accumulators, so a deferred flush is retried), forced flushes are always safe, and
-// reordering must keep every positive delta ahead of every negative one.
+// the protocol's invariants: flushes may be delayed only boundedly (a worker whose idle
+// flush was deferred rescans instead of parking, so the flush is retried), forced flushes
+// are always safe, and reordering must keep every positive delta ahead of every negative
+// one.
 class ProgressFaultHook {
  public:
   virtual ~ProgressFaultHook() = default;
   // Called when a worker going idle would flush the accumulators. Return false to defer
-  // the flush to a later idle poll; implementations must return true after a bounded
-  // number of consecutive deferrals or the computation cannot terminate.
+  // the flush to the worker's next idle edge; implementations must return true after a
+  // bounded number of consecutive deferrals or the worker spins and the computation cannot
+  // terminate.
   virtual bool BeforeIdleFlush() = 0;
   // Consulted per accumulated batch; returning true flushes even though holding is safe.
   virtual bool ForceEarlyFlush() = 0;

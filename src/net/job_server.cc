@@ -1,19 +1,10 @@
 #include "src/net/job_server.h"
 
-#include <chrono>
 #include <utility>
 
 #include "src/base/logging.h"
 
 namespace naiad {
-
-namespace {
-
-// Host threads wake on the shared EventCount; the timeout bounds the idle re-check so a
-// missed notify can only delay, never hang, a pass (same cadence as Worker::ThreadMain).
-constexpr auto kHostIdleWait = std::chrono::microseconds(500);
-
-}  // namespace
 
 // One registered dataflow on one process: its controller (graph, tracker, vertices,
 // workers), its progress router and control plane, and its wire-traffic accounting. Held
@@ -502,10 +493,12 @@ void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
     }
     // Idle edge, eventcount-style (§3.3): snapshot the generation, flush, re-check every
     // work source, and only then park. Any job's progress bumps its tracker version (and
-    // notifies the shared event), so the fingerprint changing forces another pass.
+    // notifies the shared event), so the fingerprint changing forces another pass. A
+    // deferred flush forces one too: nothing will notify when the deferral ends.
     const EventCount::Ticket ticket = ps.event.PrepareWait();
     uint64_t fingerprint = 0;
     bool rescan = false;
+    bool live = false;
     {
       JobsSharedScope scope(ps.jobs_mu, &ps);
       fingerprint = ps.jobs_generation;
@@ -518,9 +511,10 @@ void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
         if (!ctl.workers_live() || ctl.stopping()) {
           continue;
         }
-        ctl.worker(worker_index).IdleFlush();
+        live = true;
+        const bool deferred = ctl.worker(worker_index).IdleFlush();
         fingerprint += ctl.tracker().version();
-        rescan = rescan || !ctl.worker(worker_index).InboxEmpty();
+        rescan = rescan || deferred || !ctl.worker(worker_index).InboxEmpty();
       }
     }
     if (rescan || ps.stop.load(std::memory_order_acquire)) {
@@ -530,7 +524,13 @@ void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
       idle_fingerprint = fingerprint;
       continue;
     }
-    ps.event.CommitWait(ticket, kHostIdleWait);
+    // With a live job, an expiry is a lost wakeup or a job that gave this host nothing to
+    // do for a whole backstop; count it. A host with no live job has nothing to miss.
+    if (!ps.event.CommitWait(ticket) && live) {
+      if (obs::ProcessMetrics* pm = ps.obs->metrics().process()) {
+        pm->idle_backstop_expiries.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
 }
 
@@ -572,6 +572,9 @@ ClusterStats JobServer::Stop() {
     for (std::thread& t : ps->drivers) {
       t.join();
     }
+  }
+  for (auto& ps : procs_) {
+    ps->transport->StopInjectedResets();
   }
   for (auto& ps : procs_) {
     ps->transport->Shutdown();

@@ -124,16 +124,22 @@ void DistributedProgressRouter::OnAccumulatorFrame(uint32_t /*src*/,
   }
   if (flush) {
     FlushCentral();
+  } else {
+    // The batch now waits for an idle edge of this process, whose workers may all be
+    // parked: nothing else they wait on will change until this batch is broadcast.
+    ctl_->event().NotifyAll();
   }
 }
 
-void DistributedProgressRouter::OnWorkerIdle() {
-  // Idle flushes may be deferred (boundedly) by the fault hook: idle workers re-poll on
-  // the eventcount timeout, so a deferred flush is retried until the hook lets it pass.
+bool DistributedProgressRouter::OnWorkerIdle() {
+  // Idle flushes may be deferred (boundedly) by the fault hook. No event announces the
+  // end of a deferral, so the caller rescans instead of parking and retries here; the
+  // hook lets the flush pass after at most max_consecutive_defers refusals.
   if (faults_ != nullptr && !faults_->BeforeIdleFlush()) {
-    return;
+    return true;
   }
   FlushAll();
+  return false;
 }
 
 void DistributedProgressRouter::FlushAll() {

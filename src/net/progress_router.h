@@ -15,6 +15,12 @@
 // pointstamp could-result-in p (so no frontier decision depends on p yet). Any violation —
 // or a worker running out of work — flushes the whole buffer, positives first (the
 // ProgressBuffer ordering).
+//
+// Wake rule: a held batch is released only by some worker's idle edge, so whoever makes the
+// hold must make sure a worker reaches that edge. A worker's own flush reaches its idle
+// edge by itself; other callers of Broadcast notify the event (ProgressRouter::Broadcast).
+// Central holds come from a peer's frame on the receive thread while process 0's workers
+// may be parked, so OnAccumulatorFrame notifies the event whenever it keeps a batch.
 
 #ifndef SRC_NET_PROGRESS_ROUTER_H_
 #define SRC_NET_PROGRESS_ROUTER_H_
@@ -77,7 +83,7 @@ class DistributedProgressRouter final : public ProgressRouter {
 
   // From local workers (and input handles).
   void Broadcast(std::vector<ProgressUpdate> updates) override;
-  void OnWorkerIdle() override;
+  bool OnWorkerIdle() override;
 
   // Unconditional flush of every held update, bypassing any fault-injected deferral. The
   // termination barrier must use this: its report reads the tracker immediately after the

@@ -428,6 +428,7 @@ void TcpTransport::SenderMain(uint32_t dst, SendLink& link) {
     bool ok = true;
     for (size_t k = 0; k < batch.size() && ok; ++k) {
       if (link.faults != nullptr && !shutdown_.load(std::memory_order_acquire) &&
+          !resets_stopped_.load(std::memory_order_acquire) &&
           link.faults->ShouldResetBefore(frame_index + k)) {
         ok = WriteRun(link, batch, run_start, k, frame_index + run_start, next_seq);
         if (ok) {

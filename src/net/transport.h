@@ -175,6 +175,11 @@ class TcpTransport final : public DataTransport {
   void BroadcastFrame(FrameType type, const std::vector<uint8_t>& payload,
                       bool include_self, uint32_t job = 0, JobTraffic* acct = nullptr);
 
+  // Stops fault-injected link resets: no reset, and so no re-dial, starts after this
+  // returns. A server hosting every process of the mesh calls it on all of them before
+  // shutting any down; a reset after a peer's listener closed would re-dial that peer for
+  // the whole dial backoff budget (~2 s) before giving up.
+  void StopInjectedResets() { resets_stopped_.store(true, std::memory_order_release); }
   void Shutdown();
   // Recovery-path teardown: additionally shuts down (shutdown(2), not close) every send
   // socket *before* joining the sender threads, so a sender blocked in a full-buffer
@@ -395,6 +400,7 @@ class TcpTransport final : public DataTransport {
   std::mutex keeper_mu_;
   std::condition_variable keeper_cv_;
   std::atomic<bool> shutdown_{false};
+  std::atomic<bool> resets_stopped_{false};
   std::atomic<uint64_t> reconnects_{0};
   std::atomic<uint64_t> recv_torn_frames_{0};
   std::atomic<uint64_t> recv_boundary_resets_{0};

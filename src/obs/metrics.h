@@ -177,6 +177,9 @@ struct alignas(64) ProcessMetrics {
   LogHistogram progress_emit_updates;  // updates per wire flush (Emit/EmitFromCentral)
   std::atomic<uint64_t> cluster_checkpoints{0};  // committed cluster checkpoint epochs
   std::atomic<uint64_t> cluster_recoveries{0};   // coordinated restarts participated in
+  // Idle worker/host waits that ended on kIdleBackstop instead of a notify. Each one is a
+  // lost wakeup or a host with nothing to do; a growing count with live work is a bug.
+  std::atomic<uint64_t> idle_backstop_expiries{0};
 
   // Scoped progress tracking (ProgressTracker::ScopingStats, stored once at Stop()).
   std::atomic<uint64_t> progress_boundary_updates{0};  // image deltas crossing a scope
@@ -250,6 +253,8 @@ class Metrics {
               process_.cluster_checkpoints.load(std::memory_order_relaxed));
     b.Counter("cluster_recoveries",
               process_.cluster_recoveries.load(std::memory_order_relaxed));
+    b.Counter("idle_backstop_expiries",
+              process_.idle_backstop_expiries.load(std::memory_order_relaxed));
     b.Counter("progress_boundary_updates",
               process_.progress_boundary_updates.load(std::memory_order_relaxed));
     b.Counter("progress_boundary_bytes",

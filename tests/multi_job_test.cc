@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -274,6 +275,81 @@ TEST(JobServerTest, FramesForRetiredAndUnknownJobsAreDroppedAndCounted) {
   const ClusterStats stats = server.Stop();
   EXPECT_EQ(r2.counts, ExpectedCounts(4, kEpochs));
   EXPECT_GE(stats.stray_frames_dropped, 2u);
+}
+
+// Fig. 6b's empty notification loop: every vertex asks to be notified at the next
+// iteration until `iters`. Vertex 0 (process 0, worker 0) stamps each iteration's end.
+class BarrierVertex final : public UnaryVertex<uint64_t, uint64_t> {
+ public:
+  BarrierVertex(uint64_t iters, std::vector<std::chrono::steady_clock::time_point>* marks)
+      : iters_(iters), marks_(marks) {}
+  void OnRecv(const Timestamp&, std::vector<uint64_t>&) override {}
+  void OnNotify(const Timestamp& t) override {
+    if (marks_ != nullptr) {
+      marks_->push_back(std::chrono::steady_clock::now());
+    }
+    if (t.coords.back() + 1 < iters_) {
+      NotifyAt(t.Incremented());
+    }
+  }
+
+ private:
+  uint64_t iters_;
+  std::vector<std::chrono::steady_clock::time_point>* marks_;
+};
+
+// Regression for the lost cross-process wakeup. Under the default Local+GlobalAcc
+// strategy, process 1's flush reaches process 0's central accumulator, which usually holds
+// it (the next iteration's +1 is already active there). Nothing woke process 0's parked
+// hosts, so each iteration waited out the hosts' idle timeout. With the production
+// kIdleBackstop (20 ms) a lost edge costs >= 20 ms per iteration, so a median under 5 ms
+// holds only if the wakeup is event-driven — with margin for sanitizer builds.
+TEST(JobServerBarrier, CrossProcessWakeupIsEventDriven) {
+  constexpr uint64_t kIters = 300;
+  ClusterOptions opts;
+  opts.processes = kProcesses;
+  opts.workers_per_process = kWorkers;
+  opts.obs = {.metrics = true};
+  JobServer server(opts);
+  server.Start();
+  std::vector<std::chrono::steady_clock::time_point> marks;
+  marks.reserve(kIters);
+  const JobId id = server.Submit([&](Controller& ctl) {
+    GraphBuilder b(ctl);
+    auto [in, handle] = NewInput<uint64_t>(b);
+    LoopContext loop(b, 0, "barrier");
+    FeedbackHandle<uint64_t> fb = loop.NewFeedback<uint64_t>();
+    Stream<uint64_t> entered = loop.Ingress<uint64_t>(in);
+    StageId barrier = b.NewStage<BarrierVertex>(
+        StageOptions{.name = "barrier",
+                     .depth = 1,
+                     .initial_notifications = {Timestamp(0, {0})}},
+        [&](uint32_t index) {
+          return std::make_unique<BarrierVertex>(kIters, index == 0 ? &marks : nullptr);
+        });
+    b.Connect<BarrierVertex, uint64_t>(entered, barrier);
+    b.Connect<BarrierVertex, uint64_t>(fb.stream(), barrier);
+    fb.ConnectLoop(b.OutputOf<uint64_t>(barrier));
+    ctl.Start();
+    handle->OnCompleted();
+    ctl.Join();
+  });
+  server.Wait(id);
+  const ClusterStats stats = server.Stop();
+
+  ASSERT_EQ(marks.size(), kIters);
+  std::vector<double> iteration_us;
+  for (size_t i = 1; i < marks.size(); ++i) {
+    iteration_us.push_back(
+        std::chrono::duration<double, std::micro>(marks[i] - marks[i - 1]).count());
+  }
+  std::nth_element(iteration_us.begin(), iteration_us.begin() + iteration_us.size() / 2,
+                   iteration_us.end());
+  const double median_us = iteration_us[iteration_us.size() / 2];
+  EXPECT_LT(median_us, 5000.0) << "cross-process barrier iterations ride the idle backstop";
+  // The backstop counter names the same failure directly: with a live job, every expiry
+  // is a host that slept through work (or had none for 20 ms, which this loop never does).
+  EXPECT_LE(stats.obs.counter("idle_backstop_expiries"), 5u);
 }
 
 // The seeded sweep: kJobs jobs registered at seed-chosen times, one seed-chosen victim
