@@ -15,8 +15,7 @@ uint64_t VertexKey(StageId s, uint32_t index) {
 
 Controller::Controller(Config cfg)
     : cfg_(cfg),
-      tracker_(&graph_, cfg.shared_event != nullptr ? cfg.shared_event : &event_,
-               cfg.scoping),
+      tracker_(&graph_, &event(), cfg.scoping),
       local_router_(&tracker_) {
   NAIAD_CHECK(cfg_.workers_per_process > 0);
   NAIAD_CHECK(cfg_.processes > 0);
@@ -127,16 +126,14 @@ void Controller::Start() {
     ReceiveRemoteBundle(f);
   }
 
-  // In job-server mode the server's shared host threads drive the workers via RunPass();
-  // spawning per-job threads here would defeat the sharing. The flag gates those hosts
-  // off the workers until the seeding above is fully published.
-  workers_live_.store(true, std::memory_order_release);
-  event().NotifyAll();
-  if (!cfg_.external_workers) {
-    for (auto& w : workers_) {
-      w->Start();
-    }
+  // Attach last: the pool's lock publishes the seeding above to the hosts.
+  pool_ = cfg_.host_pool;
+  if (pool_ == nullptr) {
+    own_pool_ = std::make_unique<HostPool>(cfg_.workers_per_process, event_,
+                                           obs_->metrics().process());
+    pool_ = own_pool_.get();
   }
+  pool_->Attach(this);
 }
 
 void Controller::Join() {
@@ -152,14 +149,19 @@ void Controller::Stop() {
   if (stop_.exchange(true)) {
     return;
   }
-  for (auto& w : workers_) {
-    w->RequestStop();
-  }
-  for (auto& w : workers_) {
-    w->JoinThread();
+  if (pool_ != nullptr) {
+    pool_->Detach(this);
+    own_pool_.reset();
+    // This thread now owns the workers. Every remaining purge runs, forced: after a drain
+    // its guarantee time has passed, and after a cancel it frees state nobody reads. Its
+    // capability is ⊤, so it cannot create new events.
+    for (auto& w : workers_) {
+      w->TryDeliverPurges(/*force=*/true);
+      w->FlushProgress();
+    }
   }
   // Publish the tracker's scoping accounting into the process metrics block now that the
-  // counters are final (workers joined).
+  // counters are final (workers detached).
   if (obs::ProcessMetrics* pm = obs_->metrics().process()) {
     const ProgressScopingStats ps = tracker_.ScopingStats();
     pm->progress_boundary_updates.store(ps.boundary_updates, std::memory_order_relaxed);
@@ -170,14 +172,14 @@ void Controller::Stop() {
     pm->progress_query_scans.store(ps.query_scans, std::memory_order_relaxed);
   }
   // Single-process trace dump; cluster runs clear trace_path per-process and write one
-  // combined file (src/net/cluster.cc) instead. Rings are safe to read here: every
-  // recording worker thread has been joined.
+  // combined file (src/net/cluster.cc) instead. Rings are safe to read here: no host
+  // drives this controller's workers any more.
   if (obs_->tracer().enabled() && !cfg_.obs.trace_path.empty()) {
     obs::Tracer::WriteFile(cfg_.obs.trace_path, {{cfg_.process_id, &obs_->tracer()}});
   }
 }
 
-bool Controller::AllInboxesEmpty() const {
+bool Controller::InboxesEmpty() const {
   for (const auto& w : workers_) {
     if (!w->inbox_.Empty()) {
       return false;
@@ -199,7 +201,7 @@ void Controller::PauseAndDrain() {
     // Workers only park with empty local queues, so parked == N plus empty inboxes means
     // no message can be in flight anywhere in this process.
     if (parked_.load(std::memory_order_acquire) == cfg_.workers_per_process &&
-        AllInboxesEmpty()) {
+        InboxesEmpty()) {
       return;
     }
     event().CommitWait(ticket);
@@ -211,16 +213,7 @@ void Controller::Resume() {
   event().NotifyAll();
 }
 
-void Controller::ReceiveRemoteBundle(std::span<const uint8_t> frame) {
-  // A fast peer may ship data before this process finishes instantiating its vertices;
-  // stash such frames and replay them at the end of Start().
-  if (!accepting_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(early_mu_);
-    if (!accepting_.load(std::memory_order_acquire)) {
-      early_frames_.emplace_back(frame.begin(), frame.end());
-      return;
-    }
-  }
+std::unique_ptr<WorkItemBase> Controller::DecodeRemoteBundle(std::span<const uint8_t> frame) {
   ByteReader r(frame);
   const ConnectorId ch = r.ReadU32();
   const uint32_t dst_vertex = r.ReadU32();
@@ -234,8 +227,22 @@ void Controller::ReceiveRemoteBundle(std::span<const uint8_t> frame) {
       << "remote bundle for non-local vertex " << def.dst << "/" << dst_vertex;
   std::unique_ptr<WorkItemBase> item = def.decode_batch(r, t, target);
   NAIAD_CHECK(item != nullptr && r.ok());
-  const uint32_t gw = GlobalWorkerOfVertex(dst_vertex);
-  workers_[gw % cfg_.workers_per_process]->EnqueueExternal(std::move(item));
+  return item;
+}
+
+void Controller::ReceiveRemoteBundle(std::span<const uint8_t> frame) {
+  // A fast peer may ship data before this process finishes instantiating its vertices;
+  // stash such frames and replay them at the end of Start().
+  if (!accepting_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(early_mu_);
+    if (!accepting_.load(std::memory_order_acquire)) {
+      early_frames_.emplace_back(frame.begin(), frame.end());
+      return;
+    }
+  }
+  std::unique_ptr<WorkItemBase> item = DecodeRemoteBundle(frame);
+  Worker& owner = item->target()->worker();
+  owner.EnqueueExternal(std::move(item));
 }
 
 void Controller::DiscardRemoteBundle(std::span<const uint8_t> frame) {
@@ -243,23 +250,12 @@ void Controller::DiscardRemoteBundle(std::span<const uint8_t> frame) {
   // replaying peer's seed-state — which happens strictly after Start() — so there is no
   // early-frame stash to consider here.
   NAIAD_CHECK(accepting_.load(std::memory_order_acquire));
-  ByteReader r(frame);
-  const ConnectorId ch = r.ReadU32();
-  const uint32_t dst_vertex = r.ReadU32();
-  Timestamp t;
-  NAIAD_CHECK(t.Decode(r));
-  NAIAD_CHECK(ch < graph_.num_connectors());
-  const ConnectorDef& def = graph_.connector(ch);
-  NAIAD_CHECK(def.decode_batch != nullptr);
-  VertexBase* target = LocalVertex(def.dst, dst_vertex);
-  NAIAD_CHECK(target != nullptr);
-  std::unique_ptr<WorkItemBase> item = def.decode_batch(r, t, target);
-  NAIAD_CHECK(item != nullptr && r.ok());
+  std::unique_ptr<WorkItemBase> item = DecodeRemoteBundle(frame);
   // Retire instead of deliver: the records are already part of this process's state (the
   // original delivery happened before the failure), so only the progress ledger needs the
   // −count the dropped redelivery would have produced.
-  progress_router_->Broadcast(
-      {ProgressUpdate{Pointstamp{t, Location::Connector(ch)}, -item->count()}});
+  progress_router_->Broadcast({ProgressUpdate{
+      Pointstamp{item->time(), Location::Connector(item->connector())}, -item->count()}});
   event().NotifyAll();  // the router may hold the −count until a worker's idle edge
 }
 

@@ -1,7 +1,8 @@
 // The per-process runtime (§3): owns the logical graph, the physical vertices of this
-// process, the worker threads, and the progress tracker. In distributed mode (src/net) one
-// Controller instance exists per process and they are linked by a DataTransport and a
-// distributed ProgressRouter; the single-process defaults keep everything in memory.
+// process, its workers (driven by a HostPool), and the progress tracker. In distributed
+// mode (src/net) one Controller instance exists per process and they are linked by a
+// DataTransport and a distributed ProgressRouter; the single-process defaults keep
+// everything in memory.
 
 #ifndef SRC_CORE_CONTROLLER_H_
 #define SRC_CORE_CONTROLLER_H_
@@ -16,6 +17,7 @@
 
 #include "src/base/event_count.h"
 #include "src/core/graph.h"
+#include "src/core/host_pool.h"
 #include "src/core/progress.h"
 #include "src/core/vertex.h"
 #include "src/core/worker.h"
@@ -39,13 +41,10 @@ struct Config {
   // obs.trace_path is nonempty, Stop() writes this process's trace there; cluster runs
   // clear it per-process and write one combined file instead.
   obs::ObsOptions obs;
-  // Job-server mode: many controllers (one per registered job) share one wait/notify
-  // channel and one pool of host threads. When shared_event is set, the tracker and all
-  // worker parking use it instead of the controller's private EventCount, so progress on
-  // any job wakes the shared hosts. When external_workers is set, Start() does not spawn
-  // worker threads — the job server drives each Worker via RunPass() from its own pool.
-  EventCount* shared_event = nullptr;
-  bool external_workers = false;
+  // The pool whose workers_per_process host threads drive the workers, and whose event
+  // the tracker and every wait use (the job server shares one per process). Null: Start()
+  // creates a private pool and Stop() joins it.
+  HostPool* host_pool = nullptr;
 };
 
 // Ships serialized record bundles to peer processes; implemented by src/net.
@@ -65,7 +64,7 @@ class Controller {
   LogicalGraph& graph() { return graph_; }
   const LogicalGraph& graph() const { return graph_; }
   ProgressTracker& tracker() { return tracker_; }
-  EventCount& event() { return cfg_.shared_event != nullptr ? *cfg_.shared_event : event_; }
+  EventCount& event() { return cfg_.host_pool ? cfg_.host_pool->event() : event_; }
   const Config& config() const { return cfg_; }
 
   uint32_t total_workers() const { return cfg_.processes * cfg_.workers_per_process; }
@@ -73,19 +72,14 @@ class Controller {
     return cfg_.default_parallelism != 0 ? cfg_.default_parallelism : total_workers();
   }
   bool started() const { return started_; }
-  bool stopping() const { return stop_.load(std::memory_order_relaxed); }
-  // True once Start() has fully published the vertices and seeded notifications. External
-  // worker hosts (Config::external_workers) must gate RunPass() on this: before the flip,
-  // the starting thread still mutates worker-owned state (notification seeding).
-  bool workers_live() const { return workers_live_.load(std::memory_order_acquire); }
 
   // Freezes the graph, instantiates this process's vertices, seeds the initial pointstamps
-  // (§2.3: one per input stage at epoch 0), and launches worker threads.
+  // (§2.3: one per input stage at epoch 0), and attaches the controller to its host pool.
   void Start();
-  // Start with worker execution gated: the pause flag is armed before the workers spawn,
-  // so they park before running anything. Selective recovery boots every rebuilt process
-  // this way while the cluster exchanges its progress-seed contributions — an empty
-  // tracker would otherwise fire restored notifications the moment a worker looked at it.
+  // Start with worker execution gated: the pause flag is armed before the pool attaches,
+  // so workers park before running anything. Selective recovery boots every rebuilt
+  // process this way while the cluster exchanges its progress-seed contributions — an
+  // empty tracker would otherwise fire restored notifications the moment a worker ran.
   // Resume() releases the workers once all seeds are applied.
   void StartPaused() {
     pause_.store(true, std::memory_order_release);
@@ -96,6 +90,8 @@ class Controller {
   // A cancelled controller skips the hook: a torn-down job must not wait on a barrier
   // its peers will never complete.
   void Join();
+  // Detaches from the host pool, then delivers every remaining purge on this thread.
+  // Idempotent. Never call it holding the job server's jobs_mu (HostPool's lock order).
   void Stop();
 
   // Job teardown: unblocks Join() (and any tracker WaitFor using `cancelled()` in its
@@ -195,8 +191,8 @@ class Controller {
   void Resume();
   bool pause_requested() const { return pause_.load(std::memory_order_acquire); }
 
-  // Pause bookkeeping (called by workers). Parking notifies so PauseAndDrain can wait on
-  // the event instead of polling.
+  // Pause bookkeeping (called by workers, at most once per park). Parking notifies so
+  // PauseAndDrain can wait on the event instead of polling.
   void NoteWorkerParked() {
     parked_.fetch_add(1, std::memory_order_acq_rel);
     event().NotifyAll();
@@ -206,15 +202,15 @@ class Controller {
   // Local-quiescence probe for the cluster checkpoint barrier: no worker inbox holds an
   // undelivered item. Racy by nature — callers must re-check across barrier rounds (the
   // two-round stability rule) rather than trust one reading.
-  bool InboxesEmpty() const { return AllInboxesEmpty(); }
+  bool InboxesEmpty() const;
 
   // Traffic statistics (Fig. 6a / 6c accounting).
   std::atomic<uint64_t> data_bytes_sent{0};
   std::atomic<uint64_t> data_bundles_sent{0};
 
  private:
-  friend class Worker;
-  bool AllInboxesEmpty() const;
+  // Decodes a RouteBundle frame into a work item for its local target vertex.
+  std::unique_ptr<WorkItemBase> DecodeRemoteBundle(std::span<const uint8_t> frame);
 
   Config cfg_;
   std::unique_ptr<obs::Obs> obs_;  // before workers_: they cache pointers into it
@@ -229,6 +225,8 @@ class Controller {
   SendTap send_tap_;
 
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::unique_ptr<HostPool> own_pool_;  // the private pool when cfg_.host_pool is null
+  HostPool* pool_ = nullptr;            // the pool this controller is attached to
   std::unordered_map<uint64_t, std::unique_ptr<VertexBase>> vertices_;
   std::vector<StageId> input_stages_;
   std::unordered_map<StageId, LocalInputState> local_input_state_;
@@ -240,7 +238,6 @@ class Controller {
   std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> cancelled_{false};
-  std::atomic<bool> workers_live_{false};
   std::atomic<bool> pause_{false};
   std::atomic<uint32_t> parked_{0};
 };

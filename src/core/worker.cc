@@ -15,11 +15,6 @@ Worker::Worker(Controller* ctl, uint32_t local_index)
   obs_time_ = metrics_ != nullptr;
 }
 
-Worker::~Worker() {
-  RequestStop();
-  JoinThread();
-}
-
 void Worker::EnqueueExternal(std::unique_ptr<WorkItemBase> item) {
   if (obs_time_) {
     item->set_enqueue_ns(obs::MonotonicNs());
@@ -105,21 +100,6 @@ void Worker::FlushProgress() {
   ctl_->progress_router().Broadcast(std::move(updates));
 }
 
-void Worker::Start() {
-  thread_ = std::thread([this] { ThreadMain(); });
-}
-
-void Worker::RequestStop() {
-  stop_.store(true, std::memory_order_release);
-  ctl_->event().NotifyAll();
-}
-
-void Worker::JoinThread() {
-  if (thread_.joinable()) {
-    thread_.join();
-  }
-}
-
 void Worker::RunItem(WorkItemBase& item) {
   uint64_t t0 = 0;
   if (metrics_ != nullptr) {
@@ -144,9 +124,8 @@ void Worker::RunItem(WorkItemBase& item) {
   FlushProgress();
 }
 
-bool Worker::DispatchOnce() {
-  bool did = false;
-  // Messages before notifications (§3.2).
+bool Worker::RunMessages() {
+  bool any = false;
   for (;;) {
     if (local_.empty()) {
       drain_scratch_.clear();
@@ -161,23 +140,13 @@ bool Worker::DispatchOnce() {
       }
     }
     if (local_.empty()) {
-      break;
+      return any;
     }
     std::unique_ptr<WorkItemBase> item = std::move(local_.front());
     local_.pop_front();
     RunItem(*item);
-    did = true;
-    if (ctl_->pause_requested()) {
-      return did;  // finish messages under HandlePause's message-only loop
-    }
+    any = true;
   }
-  if (TryDeliverNotifications()) {
-    did = true;
-  }
-  if (TryDeliverPurges(/*force=*/false)) {
-    did = true;
-  }
-  return did;
 }
 
 bool Worker::TryDeliverNotifications() {
@@ -228,114 +197,59 @@ bool Worker::TryDeliverNotifications() {
   return false;
 }
 
-void Worker::ThreadMain() {
-  if (ctl_->obs().tracer().enabled()) {
-    trace_ = ctl_->obs().tracer().RegisterThread("worker" + std::to_string(global_index_));
-  }
-  uint64_t idle_version = ~0ULL;
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (ctl_->pause_requested()) {
-      // §3.4: deliver outstanding messages (no notifications) and park until Resume.
-      for (;;) {
-        bool any = false;
-        for (;;) {
-          if (local_.empty()) {
-            drain_scratch_.clear();
-            if (inbox_.DrainInto(drain_scratch_) > 0) {
-              for (auto& it : drain_scratch_) {
-                local_.push_back(std::move(it));
-              }
-              drain_scratch_.clear();
-            }
-          }
-          if (local_.empty()) {
-            break;
-          }
-          std::unique_ptr<WorkItemBase> item = std::move(local_.front());
-          local_.pop_front();
-          RunItem(*item);
-          any = true;
-        }
-        FlushProgress();
-        if (any) {
-          continue;
-        }
-        if (!ctl_->pause_requested() || stop_.load(std::memory_order_acquire)) {
-          break;
-        }
-        // Stay parked across wakeups meant for others (the event is shared): re-parking
-        // would notify again and keep every parked worker bouncing.
-        ctl_->NoteWorkerParked();
-        for (;;) {
-          const EventCount::Ticket ticket = ctl_->event().PrepareWait();
-          if (!inbox_.Empty() || !ctl_->pause_requested() ||
-              stop_.load(std::memory_order_acquire)) {
-            break;
-          }
-          ctl_->event().CommitWait(ticket);
-        }
-        ctl_->NoteWorkerUnparked();
-      }
-      continue;
-    }
-
-    if (DispatchOnce()) {
-      idle_version = ~0ULL;
-      continue;
-    }
-    // No work: flush, let accumulating progress routers release held updates, then sleep
-    // unless something arrived, a flush was deferred, or the frontier moved since our last
-    // notification scan.
-    const bool deferred = IdleFlush();
-    EventCount::Ticket ticket = ctl_->event().PrepareWait();
-    uint64_t version = ctl_->tracker().version();
-    if (deferred || !inbox_.Empty() || stop_.load(std::memory_order_acquire) ||
-        ctl_->pause_requested()) {
-      continue;
-    }
-    if ((!pending_.empty() || !purges_.empty()) && version != idle_version) {
-      idle_version = version;
-      continue;  // frontier may have moved; rescan notifications and purges
-    }
-    if (!ctl_->event().CommitWait(ticket)) {
-      if (obs::ProcessMetrics* pm = ctl_->obs().metrics().process()) {
-        pm->idle_backstop_expiries.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-  // Shutdown happens only after the computation drained, so every remaining purge's
-  // guarantee time has passed; deliver them before exiting (their capability is ⊤, so
-  // they cannot create new events).
-  TryDeliverPurges(/*force=*/true);
-  FlushProgress();
-}
-
 bool Worker::RunPass() {
-  // Host threads exist before any job does, so the ring registration that ThreadMain does
-  // at entry happens lazily here, on the first pass a host runs for this worker.
+  // The ring is registered lazily, on the first pass a host runs for this worker.
   if (trace_ == nullptr && ctl_->obs().tracer().enabled()) {
     trace_ = ctl_->obs().tracer().RegisterThread("worker" + std::to_string(global_index_));
   }
-  return DispatchOnce();
+  if (ctl_->pause_requested()) {
+    return PausedPass();
+  }
+  if (parked_) {
+    parked_ = false;
+    ctl_->NoteWorkerUnparked();
+  }
+  // Messages before notifications (§3.2). A pause requested meanwhile holds the
+  // notifications and purges back until Resume.
+  bool did = RunMessages();
+  if (ctl_->pause_requested()) {
+    return did;
+  }
+  did = TryDeliverNotifications() || did;
+  did = TryDeliverPurges(/*force=*/false) || did;
+  return did;
 }
 
-bool Worker::IdleFlush() {
+bool Worker::PausedPass() {
+  // §3.4: deliver outstanding messages, never notifications or purges, and park. A parked
+  // worker stays parked across wakeups meant for others (the event is shared): parking
+  // again would notify again and keep every parked worker bouncing. It unparks before it
+  // drains, so PauseAndDrain never sees every worker parked while one holds a message.
+  if (parked_) {
+    if (inbox_.Empty()) {
+      return false;
+    }
+    parked_ = false;
+    ctl_->NoteWorkerUnparked();
+  }
+  const bool any = RunMessages();
   FlushProgress();
-  return ctl_->progress_router().OnWorkerIdle();
+  if (inbox_.Empty()) {
+    parked_ = true;
+    ctl_->NoteWorkerParked();
+  }
+  return any;
 }
 
-void Worker::DeliverFinalPurges() {
-  TryDeliverPurges(/*force=*/true);
-  FlushProgress();
-}
-
-bool Worker::DrainForTest() {
-  bool any = false;
-  while (DispatchOnce()) {
-    any = true;
+bool Worker::IdleEdge() {
+  if (ctl_->pause_requested()) {
+    return !parked_ || !inbox_.Empty();  // not parked yet, or a message to run first
+  }
+  if (parked_) {
+    return true;  // resumed since the last pass: unpark and rescan before sleeping
   }
   FlushProgress();
-  return any;
+  return ctl_->progress_router().OnWorkerIdle() || !inbox_.Empty();
 }
 
 }  // namespace naiad

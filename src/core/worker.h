@@ -1,6 +1,7 @@
 // Workers (§3.2): each worker owns a partition of the vertices and delivers messages and
 // notifications to them. Workers share no state beyond their inbound queues and the
-// progress tracker; a vertex only ever executes on its owning worker's thread.
+// progress tracker; a vertex only ever executes on the host thread that drives its worker
+// (src/core/host_pool.h).
 //
 // Scheduling policy (§3.2): runnable messages are delivered before notifications to keep
 // queues small; deliverable notifications are taken in timestamp order.
@@ -8,10 +9,8 @@
 #ifndef SRC_CORE_WORKER_H_
 #define SRC_CORE_WORKER_H_
 
-#include <atomic>
 #include <deque>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/base/mpsc_queue.h"
@@ -29,7 +28,6 @@ class Controller;
 class Worker {
  public:
   Worker(Controller* ctl, uint32_t local_index);
-  ~Worker();
   Worker(const Worker&) = delete;
   Worker& operator=(const Worker&) = delete;
 
@@ -63,23 +61,13 @@ class Worker {
   const Timestamp* current_time() const { return in_callback_ ? &current_time_ : nullptr; }
   uint32_t reentry_depth() const { return reentry_depth_; }
 
-  void Start();
-  void RequestStop();
-  void JoinThread();
-
-  // Job-server mode (Config::external_workers): a shared host thread drives the worker
-  // instead of a dedicated one. The same host thread must make every call for a given
-  // worker — the single-owner-thread contract carries over unchanged.
-  bool RunPass();             // one scheduling pass; true if any callback ran
-  // The idle-edge duties of ThreadMain (flush + router poke). Returns true when the router
-  // deferred its flush: the caller must rescan rather than park.
-  bool IdleFlush();
-  void DeliverFinalPurges();  // the shutdown duties of ThreadMain (forced purge drain)
-  bool InboxEmpty() const { return inbox_.Empty(); }
-
-  // Test support: run pending work on the calling thread until none remains; returns
-  // whether anything ran. Only valid when the worker thread is not running.
-  bool DrainForTest();
+  // One scheduling pass, made by the HostPool thread that drives this worker: messages
+  // before notifications, or messages only while paused (§3.4). True if a callback ran.
+  bool RunPass();
+  // Idle duties of a pass that ran nothing (flush, router poke). True when the host must
+  // rescan rather than park: a deferred flush, an arrival, or an unhandled pause change.
+  bool IdleEdge();
+  bool parked() const { return parked_; }  // paused and counted as parked (§3.4)
 
   struct PendingNotify {
     Timestamp time;
@@ -90,10 +78,10 @@ class Worker {
   const std::vector<PendingNotify>& pending_notifications() const { return pending_; }
 
  private:
-  friend class Controller;  // pause coordination inspects the inbox
+  friend class Controller;  // reads inboxes for pause; Stop forces the final purges
 
-  void ThreadMain();
-  bool DispatchOnce();  // one scheduling pass; true if any callback ran
+  bool PausedPass();   // messages only, then park; true if any callback ran
+  bool RunMessages();  // until the local queue and inbox are empty; true if any ran
   void RunItem(WorkItemBase& item);
   bool TryDeliverNotifications();
   bool TryDeliverPurges(bool force);
@@ -113,16 +101,14 @@ class Worker {
   bool in_callback_ = false;
   bool in_purge_ = false;
   uint32_t reentry_depth_ = 0;
+  bool parked_ = false;  // counted in the controller's parked total
 
   // Observability (nullptr / false when disabled — the hot paths then pay one predictable
-  // branch and no clock reads). metrics_ points into the controller's Obs; trace_ is this
-  // thread's ring, registered at ThreadMain entry and drained only after JoinThread.
+  // branch and no clock reads). metrics_ points into the controller's Obs; trace_ is the
+  // driving host's ring, registered at its first pass and drained only after Stop.
   obs::WorkerMetrics* metrics_ = nullptr;
   obs::TraceRing* trace_ = nullptr;
   bool obs_time_ = false;  // metrics_ != nullptr: stamp enqueue/request times
-
-  std::thread thread_;
-  std::atomic<bool> stop_{false};
 };
 
 }  // namespace naiad

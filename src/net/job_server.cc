@@ -8,7 +8,7 @@ namespace naiad {
 
 // One registered dataflow on one process: its controller (graph, tracker, vertices,
 // workers), its progress router and control plane, and its wire-traffic accounting. Held
-// by shared_ptr so the demux, the hosts, the driver, and the trace epilogue can each keep
+// by shared_ptr so the demux, the driver, and the trace epilogue can each keep
 // it alive across the teardown race without coordinating destruction.
 struct JobServer::JobContext {
   JobId id = 0;
@@ -45,14 +45,14 @@ struct JobServer::ProcessState {
   // Shared wait/notify channel: every job's tracker and all host parking use it, so
   // progress on any job wakes the shared hosts.
   EventCount event;
+  std::unique_ptr<HostPool> pool;  // every job's Config::host_pool
 
-  // Registered-jobs table. Hosts and the demux read it under the shared lock; register
-  // and retire mutate it under the exclusive lock. The exclusive acquisition in RetireJob
-  // is the happens-before edge that makes the retiring driver the sole owner of the job's
-  // workers (every host pass and in-flight delivery holds the shared lock).
+  // Registered-jobs table. The demux reads it under the shared lock; register and retire
+  // mutate it under the exclusive lock, so a retired job gets no further deliveries. Hosts
+  // never hold it across a pass, but a pass that sends to self takes it inside the pool's
+  // lock: never attach or detach a controller while holding it.
   std::shared_mutex jobs_mu;
   std::map<JobId, std::shared_ptr<JobContext>> jobs;
-  uint64_t jobs_generation = 0;  // bumped per register/retire; hosts' idle fingerprint
 
   // Frames that arrived before their job registered locally, in arrival order, bounded by
   // ClusterOptions::job_stash_limit_bytes per job. stash_mu also serializes the accepting
@@ -76,8 +76,6 @@ struct JobServer::ProcessState {
   std::atomic<uint64_t> stray_dropped{0};
   std::atomic<uint64_t> stash_drops{0};
 
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> hosts;
   std::mutex drivers_mu;
   std::vector<std::thread> drivers;
   // Retired contexts kept alive for the combined trace file (tracing runs only).
@@ -90,9 +88,7 @@ namespace {
 // frame to self (a coordinator broadcasting a verdict, the central accumulator flushing),
 // which dispatches inline back into OnFrame on the same thread. Re-acquiring the shared
 // jobs lock there can deadlock against a writer already waiting between the two
-// acquisitions, so nested entries reuse the outer hold instead. Host threads set it too:
-// their RunPass/IdleFlush sections hold the shared lock and can reach Send-to-self
-// through a progress flush.
+// acquisitions, so nested entries reuse the outer hold instead.
 thread_local const void* t_jobs_shared_held = nullptr;
 
 class JobsSharedScope {
@@ -183,10 +179,8 @@ void JobServer::Start() {
   }
   for (uint32_t p = 0; p < n; ++p) {
     ProcessState& ps = *procs_[p];
-    ps.hosts.reserve(opts_.workers_per_process);
-    for (uint32_t k = 0; k < opts_.workers_per_process; ++k) {
-      ps.hosts.emplace_back([this, &ps, k] { HostMain(ps, k); });
-    }
+    ps.pool = std::make_unique<HostPool>(opts_.workers_per_process, ps.event,
+                                         ps.obs->metrics().process());
   }
 }
 
@@ -331,8 +325,7 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
   cfg.scoping = opts_.scoping;
   cfg.obs = opts_.obs;
   cfg.obs.trace_path.clear();  // the server writes one combined file at Stop()
-  cfg.shared_event = &ps.event;
-  cfg.external_workers = true;
+  cfg.host_pool = ps.pool.get();
   ctx->ctl = std::make_unique<Controller>(cfg);
   ctx->data.transport = ps.transport.get();
   ctx->data.ctx = ctx.get();
@@ -350,7 +343,6 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
     std::unique_lock<std::shared_mutex> lock(ps.jobs_mu);
     const bool inserted = ps.jobs.emplace(job, ctx).second;
     NAIAD_CHECK(inserted) << "job " << job << " registered twice";
-    ++ps.jobs_generation;
   }
   // Replay the pre-registration stash, then flip `accepting` — atomically with the
   // emptiness check, so no frame can slip between replay and flip. Delivery itself runs
@@ -379,7 +371,6 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
     ps.drivers.emplace_back(
         [this, &ps, ctx, body = std::move(body)] { DriverMain(ps, ctx, body); });
   }
-  ps.event.NotifyAll();
 }
 
 void JobServer::HandleTeardown(ProcessState& ps, JobId job) {
@@ -411,15 +402,10 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
   {
     std::unique_lock<std::shared_mutex> lock(ps.jobs_mu);
     ps.jobs.erase(ctx->id);
-    ++ps.jobs_generation;
   }
-  // The exclusive acquisition above excluded every host pass and in-flight delivery;
-  // this thread now solely owns the job's workers. External mode has no ThreadMain
-  // epilogue, so the forced purge drain (§2.4) runs here.
-  for (uint32_t k = 0; k < opts_.workers_per_process; ++k) {
-    ctx->ctl->worker(k).DeliverFinalPurges();
-  }
-  ctx->ctl->Stop();  // idempotent: the body's Join already stopped a drained job
+  // Detaches the job from the pool, handing this thread its workers, and runs the forced
+  // purge drain (§2.4). Idempotent: the body's Join already stopped a drained job.
+  ctx->ctl->Stop();
   {
     std::lock_guard<std::mutex> lock(ps.stash_mu);
     ps.retired.insert(ctx->id);
@@ -456,7 +442,7 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
     agg_.occ_map_peak += s.occ_map_peak;
     agg_.occ_map_peak_root += s.occ_map_peak_root;
     if (opts_.obs.metrics) {
-      // The job's workers are quiescent (exclusive acquisition above) and its blocks are
+      // The job's workers are quiescent (detached by Stop above) and its blocks are
       // final; merge them now so the context can be dropped.
       ctx->ctl->obs().metrics().AccumulateInto(snapshot_builder_, ps.pid);
     }
@@ -466,72 +452,6 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
     ++retired_count_[ctx->id];
   }
   done_cv_.notify_all();
-}
-
-void JobServer::HostMain(ProcessState& ps, uint32_t worker_index) {
-  uint64_t idle_fingerprint = ~uint64_t{0};
-  while (!ps.stop.load(std::memory_order_acquire)) {
-    bool ran = false;
-    {
-      JobsSharedScope scope(ps.jobs_mu, &ps);
-      for (auto& [id, ctx] : ps.jobs) {
-        if (!ctx->accepting.load(std::memory_order_acquire)) {
-          continue;
-        }
-        Controller& ctl = *ctx->ctl;
-        // workers_live gates until Start() has published the vertices and seeded the
-        // notifications; stopping excludes a job already past its Join.
-        if (!ctl.workers_live() || ctl.stopping()) {
-          continue;
-        }
-        ran = ctx->ctl->worker(worker_index).RunPass() || ran;
-      }
-    }
-    if (ran) {
-      idle_fingerprint = ~uint64_t{0};
-      continue;
-    }
-    // Idle edge, eventcount-style (§3.3): snapshot the generation, flush, re-check every
-    // work source, and only then park. Any job's progress bumps its tracker version (and
-    // notifies the shared event), so the fingerprint changing forces another pass. A
-    // deferred flush forces one too: nothing will notify when the deferral ends.
-    const EventCount::Ticket ticket = ps.event.PrepareWait();
-    uint64_t fingerprint = 0;
-    bool rescan = false;
-    bool live = false;
-    {
-      JobsSharedScope scope(ps.jobs_mu, &ps);
-      fingerprint = ps.jobs_generation;
-      for (auto& [id, ctx] : ps.jobs) {
-        if (!ctx->accepting.load(std::memory_order_acquire)) {
-          rescan = true;  // a registration is in flight; come back for it
-          continue;
-        }
-        Controller& ctl = *ctx->ctl;
-        if (!ctl.workers_live() || ctl.stopping()) {
-          continue;
-        }
-        live = true;
-        const bool deferred = ctl.worker(worker_index).IdleFlush();
-        fingerprint += ctl.tracker().version();
-        rescan = rescan || deferred || !ctl.worker(worker_index).InboxEmpty();
-      }
-    }
-    if (rescan || ps.stop.load(std::memory_order_acquire)) {
-      continue;
-    }
-    if (fingerprint != idle_fingerprint) {
-      idle_fingerprint = fingerprint;
-      continue;
-    }
-    // With a live job, an expiry is a lost wakeup or a job that gave this host nothing to
-    // do for a whole backstop; count it. A host with no live job has nothing to miss.
-    if (!ps.event.CommitWait(ticket) && live) {
-      if (obs::ProcessMetrics* pm = ps.obs->metrics().process()) {
-        pm->idle_backstop_expiries.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
 }
 
 ClusterStats JobServer::Stop() {
@@ -559,13 +479,7 @@ ClusterStats JobServer::Stop() {
     Wait(id);
   }
   for (auto& ps : procs_) {
-    ps->stop.store(true, std::memory_order_release);
-    ps->event.NotifyAll();
-  }
-  for (auto& ps : procs_) {
-    for (std::thread& t : ps->hosts) {
-      t.join();
-    }
+    ps->pool.reset();
   }
   for (auto& ps : procs_) {
     std::lock_guard<std::mutex> lock(ps->drivers_mu);

@@ -12,9 +12,9 @@
 //     jobs. The per-job ClusterControl also makes completion per-job: one job's
 //     termination verdict latches only its own finished_ flag, so the server keeps
 //     accepting reports and registrations afterwards.
-//   - Host thread k of a process drives worker k of every registered job (one scheduling
-//     pass per job per tick), preserving the one-owner-thread contract each Worker
-//     assumes.
+//   - Each process has one HostPool (src/core/host_pool.h): host thread k drives worker
+//     k of every running job (one scheduling pass per job per tick), preserving the
+//     one-owner-thread contract each Worker assumes.
 //   - The demux delivers a frame to its job's context while holding the jobs table's
 //     shared lock; teardown retires a context under the exclusive lock, so a frame is
 //     either delivered to a live job or dropped — never handed to freed vertices. Frames
@@ -99,7 +99,6 @@ class JobServer {
   struct JobContext;
   struct ProcessState;
 
-  void HostMain(ProcessState& ps, uint32_t worker_index);
   void OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
                std::span<const uint8_t> payload, bool wire);
   void StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,

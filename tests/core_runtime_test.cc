@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <set>
@@ -15,6 +16,7 @@
 #include "src/core/io.h"
 #include "src/core/loop.h"
 #include "src/core/stage.h"
+#include "src/net/cluster.h"
 
 namespace naiad {
 namespace {
@@ -379,30 +381,61 @@ class PurgingVertex final : public UnaryVertex<uint64_t, uint64_t> {
   std::atomic<uint64_t>* seen_epoch_;
 };
 
-TEST(RuntimeTest, PurgeNotificationsFireAfterGuaranteeAndDoNotBlock) {
-  Controller ctl(Config{.workers_per_process = 2});
-  GraphBuilder b(ctl);
-  auto [in, handle] = NewInput<uint64_t>(b);
+// The final forced purge drain lives in Controller::Stop, which both runtime stacks
+// reach: a standalone Controller (private host pool) and a 2-process cluster (each job
+// attached to its process's shared pool).
+enum class Runtime { kStandalone, kCluster };
+
+const char* RuntimeName(Runtime r) {
+  return r == Runtime::kStandalone ? "Standalone" : "Cluster";
+}
+void PrintTo(Runtime r, std::ostream* os) { *os << RuntimeName(r); }
+
+class PurgeRuntimeTest : public ::testing::TestWithParam<Runtime> {
+ protected:
+  void Run(const std::function<void(Controller&)>& body) {
+    if (GetParam() == Runtime::kStandalone) {
+      Controller ctl(Config{.workers_per_process = 2});
+      body(ctl);
+    } else {
+      Cluster::Run(ClusterOptions{.processes = 2, .workers_per_process = 2}, body);
+    }
+  }
+};
+
+TEST_P(PurgeRuntimeTest, PurgeNotificationsFireAfterGuaranteeAndDoNotBlock) {
   std::atomic<uint64_t> purged{0};
   std::atomic<uint64_t> seen{0};
-  StageId purger = b.NewStage<PurgingVertex>(
-      StageOptions{.name = "purger", .parallelism = 1},
-      [&](uint32_t) { return std::make_unique<PurgingVertex>(&purged, &seen); });
-  b.Connect<PurgingVertex, uint64_t>(in, purger);
-  // A second consumer with ordinary notifications: purges must not delay it.
   std::atomic<uint64_t> counted{0};
-  Subscribe<uint64_t>(Stream<uint64_t>(in), [&](uint64_t, std::vector<uint64_t>& recs) {
-    counted.fetch_add(recs.size());
+  Run([&](Controller& ctl) {
+    GraphBuilder b(ctl);
+    auto [in, handle] = NewInput<uint64_t>(b);
+    StageId purger = b.NewStage<PurgingVertex>(
+        StageOptions{.name = "purger", .parallelism = 1},
+        [&](uint32_t) { return std::make_unique<PurgingVertex>(&purged, &seen); });
+    b.Connect<PurgingVertex, uint64_t>(in, purger);
+    // A second consumer with ordinary notifications: purges must not delay it.
+    Subscribe<uint64_t>(Stream<uint64_t>(in), [&](uint64_t, std::vector<uint64_t>& recs) {
+      counted.fetch_add(recs.size());
+    });
+    ctl.Start();
+    if (ctl.config().process_id == 0) {  // one producer: the counts match either runtime
+      for (uint64_t e = 0; e < 5; ++e) {
+        handle->OnNext({e, e, e});
+      }
+    }
+    handle->OnCompleted();
+    ctl.Join();
   });
-  ctl.Start();
-  for (uint64_t e = 0; e < 5; ++e) {
-    handle->OnNext({e, e, e});
-  }
-  handle->OnCompleted();
-  ctl.Join();
   EXPECT_EQ(counted.load(), 15u);
   EXPECT_EQ(purged.load(), 4u);  // every epoch's state reclaimed by drain time
 }
+
+INSTANTIATE_TEST_SUITE_P(Runtimes, PurgeRuntimeTest,
+                         ::testing::Values(Runtime::kStandalone, Runtime::kCluster),
+                         [](const ::testing::TestParamInfo<Runtime>& info) {
+                           return std::string(RuntimeName(info.param));
+                         });
 
 // Regression for the §2.4 capability bookkeeping around nested deliveries: a bundle
 // delivered re-entrantly inside a purge callback is an ordinary callback (it may send),

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -71,6 +72,8 @@ std::map<uint64_t, uint64_t> ExpectedCounts(uint64_t salt, uint64_t epochs) {
 
 class CountPerKeyVertex final : public UnaryVertex<uint64_t, std::pair<uint64_t, uint64_t>> {
  public:
+  explicit CountPerKeyVertex(std::atomic<uint64_t>* notified = nullptr)
+      : notified_(notified) {}
   void OnRecv(const Timestamp& t, std::vector<uint64_t>& batch) override {
     auto [it, fresh] = counts_.try_emplace(t);
     if (fresh) {
@@ -81,6 +84,9 @@ class CountPerKeyVertex final : public UnaryVertex<uint64_t, std::pair<uint64_t,
     }
   }
   void OnNotify(const Timestamp& t) override {
+    if (notified_ != nullptr) {
+      notified_->fetch_add(1, std::memory_order_relaxed);
+    }
     for (auto [k, n] : counts_[t]) {
       output().Send(t, {k, n});
     }
@@ -88,6 +94,7 @@ class CountPerKeyVertex final : public UnaryVertex<uint64_t, std::pair<uint64_t,
   }
 
  private:
+  std::atomic<uint64_t>* notified_;
   std::map<Timestamp, std::map<uint64_t, uint64_t>> counts_;
 };
 
@@ -97,13 +104,15 @@ struct JobResult {
 };
 
 // Builds the keyed-count dataflow on `ctl` and returns the input handle; records land in
-// `out`. The exchange partitions by key, so every job continuously crosses the shared
-// process links.
-InputHandle<uint64_t>* BuildCountGraph(Controller& ctl, GraphBuilder& b, JobResult* out) {
+// `out`, and each count vertex's notifications are tallied in `notified` when it is set.
+// The exchange partitions by key, so every job continuously crosses the shared process
+// links.
+InputHandle<uint64_t>* BuildCountGraph(Controller& ctl, GraphBuilder& b, JobResult* out,
+                                       std::atomic<uint64_t>* notified = nullptr) {
   auto [in, handle] = NewInput<uint64_t>(b);
   StageId count = b.NewStage<CountPerKeyVertex>(
       StageOptions{.name = "count"},
-      [](uint32_t) { return std::make_unique<CountPerKeyVertex>(); });
+      [notified](uint32_t) { return std::make_unique<CountPerKeyVertex>(notified); });
   b.Connect<CountPerKeyVertex, uint64_t>(in, count, 0,
                                          [](const uint64_t& k) { return k; });
   Subscribe<std::pair<uint64_t, uint64_t>>(
@@ -350,6 +359,80 @@ TEST(JobServerBarrier, CrossProcessWakeupIsEventDriven) {
   // The backstop counter names the same failure directly: with a live job, every expiry
   // is a host that slept through work (or had none for 20 ms, which this loop never does).
   EXPECT_LE(stats.obs.counter("idle_backstop_expiries"), 5u);
+}
+
+// Regression: PauseAndDrain on a job-server job used to wait forever, because the shared
+// hosts never parked a paused job's workers. Job A pauses mid-stream on every process and
+// feeds one more epoch while paused; job B then runs to completion on the same hosts.
+// While A is paused its messages run but none of its notifications fire. The scenario
+// runs under a watchdog so a regression fails the test instead of hanging it.
+TEST(JobServerPause, PauseAndDrainParksOneJobOnly) {
+  JobServer server(ServerOptions());
+  server.Start();
+  JobResult ra, rb;
+  std::atomic<uint64_t> notified[kProcesses] = {};
+  std::atomic<uint32_t> paused{0};
+  std::atomic<bool> b_done{false};
+  std::atomic<bool> quiet_while_paused{true};
+  const auto body_a = [&](Controller& ctl) {
+    GraphBuilder b(ctl);
+    const uint32_t pid = ctl.config().process_id;
+    InputHandle<uint64_t>* handle = BuildCountGraph(ctl, b, &ra, &notified[pid]);
+    ctl.Start();
+    const auto feed = [&](uint64_t e) {
+      std::vector<uint64_t> data;
+      for (uint64_t i = 0; i < kRecordsPerEpoch; ++i) {
+        data.push_back(Record(5, pid, e, i));
+      }
+      handle->OnNext(std::move(data));
+    };
+    feed(0);
+    ctl.PauseAndDrain();
+    const uint64_t before = notified[pid].load();
+    // The paused workers run these messages. Once every process has fed epoch 1 it is
+    // notifiable, but nothing may fire before Resume.
+    feed(1);
+    paused.fetch_add(1);
+    while (!b_done.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (notified[pid].load() != before) {
+      quiet_while_paused.store(false);
+    }
+    ctl.Resume();
+    for (uint64_t e = 2; e < kEpochs; ++e) {
+      feed(e);
+    }
+    handle->OnCompleted();
+    ctl.Join();
+  };
+
+  std::packaged_task<void()> scenario([&] {
+    const JobId a = server.Submit(body_a);
+    while (paused.load() < kProcesses) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const JobId b = server.Submit(CountBody(6, &rb));
+    server.Wait(b);
+    b_done.store(true);
+    server.Wait(a);
+  });
+  std::future<void> done = scenario.get_future();
+  std::thread runner(std::move(scenario));
+  if (done.wait_for(std::chrono::seconds(60)) != std::future_status::ready) {
+    ADD_FAILURE() << "paused job never parked, or it blocked the other job";
+    std::fflush(stdout);
+    std::_Exit(1);  // the hung hosts cannot be joined
+  }
+  runner.join();
+  server.Stop();
+
+  EXPECT_TRUE(quiet_while_paused.load()) << "a notification fired while paused";
+  EXPECT_EQ(ra.counts, ExpectedCounts(5, kEpochs));
+  EXPECT_EQ(rb.counts, ExpectedCounts(6, kEpochs));
+  for (uint32_t p = 0; p < kProcesses; ++p) {
+    EXPECT_GT(notified[p].load(), 0u) << "process " << p << " never notified";
+  }
 }
 
 // The seeded sweep: kJobs jobs registered at seed-chosen times, one seed-chosen victim
