@@ -175,8 +175,8 @@ class JsonReport {
 // many of the emitted progress bytes were cross-scope (root-space updates that must reach
 // every process regardless of organization), how many were loop-internal, and what the
 // summarized boundary traffic plus occurrence-map footprint looked like. `cross_total` is
-// the number the scoped refactor is judged by: root-space wire bytes plus boundary-image
-// bytes (the only traffic a per-scope deployment sends across scopes).
+// the number the per-scope organization is judged by: root-space wire bytes plus
+// boundary-image bytes (the only traffic a per-scope deployment sends across scopes).
 struct ScopeAccounting {
   double cross_total_kb = 0;
   double in_scope_kb = 0;

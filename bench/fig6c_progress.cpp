@@ -9,15 +9,14 @@
 // The bench additionally breaks progress traffic down by scope (WCC's label-propagation
 // loop is a scope nested in the root scope): `cross KB` is root-space wire bytes plus
 // summarized boundary bytes — the traffic that must cross scope boundaries — while
-// `in-scope KB` is loop-internal traffic that a per-scope deployment keeps local. Under
-// ProgressScoping::kScoped the tracker maintains per-scope occurrence maps and only
-// boundary-crossing summaries reach the parent, so cross KB drops while flat-mode totals
-// stay unchanged. Rows land in BENCH_fig6c.json keyed by NAIAD_BENCH_LABEL; set
-// NAIAD_PROGRESS_SCOPING=flat|scoped to restrict to one mode (used to record the
-// checked-in pre/post baselines).
+// `in-scope KB` is loop-internal traffic that a per-scope deployment keeps local. The
+// tracker keeps per-scope occurrence maps and only boundary-crossing summaries reach the
+// parent (`bnd upd`; `occ root` is the root scope's share of the occurrence-map peak).
+// `reduction` is each strategy's progress bytes relative to None. Rows land in
+// BENCH_fig6c.json keyed by NAIAD_BENCH_LABEL.
 
-#include <cstdlib>
 #include <mutex>
+#include <set>
 
 #include "bench/bench_util.h"
 #include "src/algo/wcc.h"
@@ -33,16 +32,12 @@ struct Outcome {
   uint64_t components = 0;
 };
 
-Outcome RunWcc(ProgressStrategy strategy, ProgressScoping scoping, uint64_t nodes,
-               uint64_t edges) {
+Outcome RunWcc(ProgressStrategy strategy, uint64_t nodes, uint64_t edges) {
   Outcome out;
   std::mutex mu;
   std::set<uint64_t> components;
   out.stats = Cluster::Run(
-      ClusterOptions{.processes = 4,
-                     .workers_per_process = 1,
-                     .strategy = strategy,
-                     .scoping = scoping},
+      ClusterOptions{.processes = 4, .workers_per_process = 1, .strategy = strategy},
       [&](Controller& ctl) {
         GraphBuilder b(ctl);
         auto [in, handle] = NewInput<Edge>(b);
@@ -83,43 +78,35 @@ int main() {
   report.Config("edges", static_cast<double>(kEdges));
   report.Config("processes", 4.0);
 
-  // NAIAD_PROGRESS_SCOPING restricts the sweep to one tracking mode; by default both run
-  // so the table shows the scoped/flat contrast side by side.
-  const char* only = std::getenv("NAIAD_PROGRESS_SCOPING");
-  bench::Row("%-18s %-8s %-12s %-10s %-12s %-10s %-9s %-9s %-9s %-11s", "strategy",
-             "scoping", "progress KB", "cross KB", "in-scope KB", "bnd upd", "occ peak",
+  bench::Row("%-18s %-12s %-10s %-10s %-12s %-10s %-9s %-9s %-9s %-11s", "strategy",
+             "progress KB", "reduction", "cross KB", "in-scope KB", "bnd upd", "occ peak",
              "occ root", "seconds", "components");
   double none_kb = 0;
-  for (ProgressScoping scoping : {ProgressScoping::kFlat, ProgressScoping::kScoped}) {
-    if (only != nullptr && std::string(only) != ToString(scoping)) {
-      continue;
+  for (ProgressStrategy s : {ProgressStrategy::kDirect, ProgressStrategy::kGlobalAcc,
+                             ProgressStrategy::kLocalAcc, ProgressStrategy::kLocalGlobalAcc}) {
+    Outcome o = RunWcc(s, kNodes, kEdges);
+    const double kb = o.stats.progress_bytes / 1024.0;
+    const bench::ScopeAccounting acc = bench::ScopeAccounting::From(o.stats);
+    if (s == ProgressStrategy::kDirect) {
+      none_kb = kb;
     }
-    for (ProgressStrategy s :
-         {ProgressStrategy::kDirect, ProgressStrategy::kGlobalAcc,
-          ProgressStrategy::kLocalAcc, ProgressStrategy::kLocalGlobalAcc}) {
-      Outcome o = RunWcc(s, scoping, kNodes, kEdges);
-      const double kb = o.stats.progress_bytes / 1024.0;
-      const bench::ScopeAccounting acc = bench::ScopeAccounting::From(o.stats);
-      if (s == ProgressStrategy::kDirect && scoping == ProgressScoping::kFlat) {
-        none_kb = kb;
-      }
-      bench::Row("%-18s %-8s %-12.1f %-10.1f %-12.1f %-10.0f %-9.0f %-9.0f %-9.2f %-11llu",
-                 ToString(s), ToString(scoping), kb, acc.cross_total_kb, acc.in_scope_kb,
-                 acc.boundary_updates, acc.occ_map_peak, acc.occ_map_peak_root,
-                 o.stats.elapsed_seconds, static_cast<unsigned long long>(o.components));
-      report.NewRow();
-      report.Str("strategy", ToString(s));
-      report.Str("scoping", ToString(scoping));
-      report.Num("progress_kb", kb);
-      acc.AddTo(report);
-      report.Num("frames", static_cast<double>(o.stats.progress_frames));
-      report.Num("seconds", o.stats.elapsed_seconds);
-      report.Num("components", static_cast<double>(o.components));
-    }
+    const double reduction = kb > 0 ? none_kb / kb : 0;
+    bench::Row("%-18s %-12.1f %-10.1f %-10.1f %-12.1f %-10.0f %-9.0f %-9.0f %-9.2f "
+               "%-11llu",
+               ToString(s), kb, reduction, acc.cross_total_kb, acc.in_scope_kb,
+               acc.boundary_updates, acc.occ_map_peak, acc.occ_map_peak_root,
+               o.stats.elapsed_seconds, static_cast<unsigned long long>(o.components));
+    report.NewRow();
+    report.Str("strategy", ToString(s));
+    report.Num("progress_kb", kb);
+    report.Num("reduction", reduction);
+    acc.AddTo(report);
+    report.Num("frames", static_cast<double>(o.stats.progress_frames));
+    report.Num("seconds", o.stats.elapsed_seconds);
+    report.Num("components", static_cast<double>(o.components));
   }
-  if (none_kb > 0) {
-    bench::Row("(reduction factors are relative to 'None' flat = %.1f KB)", none_kb);
-  }
+  bench::Row("(reduction = 'None' progress KB / the strategy's; 'None' = %.1f KB)",
+             none_kb);
   report.Write();
   return 0;
 }

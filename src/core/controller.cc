@@ -15,7 +15,7 @@ uint64_t VertexKey(StageId s, uint32_t index) {
 
 Controller::Controller(Config cfg)
     : cfg_(cfg),
-      tracker_(&graph_, &event(), cfg.scoping),
+      tracker_(&graph_, &event()),
       local_router_(&tracker_) {
   NAIAD_CHECK(cfg_.workers_per_process > 0);
   NAIAD_CHECK(cfg_.processes > 0);
@@ -160,10 +160,10 @@ void Controller::Stop() {
       w->FlushProgress();
     }
   }
-  // Publish the tracker's scoping accounting into the process metrics block now that the
-  // counters are final (workers detached).
+  // Publish the tracker's per-scope accounting into the process metrics block now that
+  // the counters are final (workers detached).
   if (obs::ProcessMetrics* pm = obs_->metrics().process()) {
-    const ProgressScopingStats ps = tracker_.ScopingStats();
+    const ProgressTrackerStats ps = tracker_.Stats();
     pm->progress_boundary_updates.store(ps.boundary_updates, std::memory_order_relaxed);
     pm->progress_boundary_bytes.store(ps.boundary_update_bytes, std::memory_order_relaxed);
     pm->progress_occ_map_peak.store(ps.occ_map_peak, std::memory_order_relaxed);

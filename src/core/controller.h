@@ -33,10 +33,6 @@ struct Config {
   uint32_t default_parallelism = 0;
   // Records buffered per (connector, destination, time) before an eager flush.
   size_t batch_size = 4096;
-  // Progress-tracker organization: flat (§3.3 reference) or per-loop-scope trackers with
-  // summarized boundary propagation. Observably equivalent; scoped shrinks the root
-  // occurrence map and the cross-scope share of progress traffic.
-  ProgressScoping scoping = ProgressScoping::kFlat;
   // Observability: metrics registry and event tracer (both default-off). When
   // obs.trace_path is nonempty, Stop() writes this process's trace there; cluster runs
   // clear it per-process and write one combined file instead.

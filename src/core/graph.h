@@ -406,8 +406,6 @@ class LogicalGraph {
       if (sc == 0) {
         continue;
       }
-      const Location l =
-          i < num_stages() ? Location::Stage(i) : Location::Connector(i - num_stages());
       for (const Location& e : exits[sc]) {
         const SummaryAntichain& a = psi_[static_cast<size_t>(i) * n + LocationIndex(e)];
         if (!a.elements().empty()) {

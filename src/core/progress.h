@@ -12,9 +12,10 @@
 // producer's +1 through a different channel; only strictly positive counts make a
 // pointstamp active, which the protocol paper shows is safe.
 //
-// Frontier queries are evaluated by scanning the (small) active set against the summary
-// matrix rather than by maintaining incremental precursor counts; the observable semantics
-// are identical to §2.3 and the scan is O(active²) with active ~ logical locations.
+// Occurrence counts are kept per loop scope (see ProgressTracker). A frontier query scans
+// only the counts and summarized child-scope images along the query's scope chain, and
+// memoizes its verdict until something on that chain changes; the observable semantics
+// are identical to the §2.3 scan over one global active set.
 
 #ifndef SRC_CORE_PROGRESS_H_
 #define SRC_CORE_PROGRESS_H_
@@ -195,44 +196,15 @@ class ProgressBuffer {
   size_t last_ = static_cast<size_t>(-1);  // slot touched by the previous Add
 };
 
-// How the tracker organizes its occurrence counts.
-//
-//   kFlat   — one global pointstamp space, exactly §3.3: every update lands in a single
-//             map and every frontier query scans the whole active set. The reference
-//             implementation.
-//   kScoped — one occurrence map per loop scope (LogicalGraph's scope tree). An update at
-//             a scope-internal location stays in that scope's map; only when the scope's
-//             activity at a pointstamp starts or stops does a *summarized* image update
-//             (loop counter projected away via the Ψ antichain onto the scope's egress
-//             exits) propagate to the parent. Frontier queries walk the query's scope
-//             chain — own scope, ancestors, and the collapsed child images — instead of
-//             the whole graph's active set.
-//
-// Equivalence (model-checked by tests/progress_scoped_model_test.cc): a chain query in
-// scoped mode blocks iff the flat scan blocks. Soundness — every image entry is
-// Apply(summary, q.time) for a real active q and a real path prefix, and Ψ from the exit
-// onward completes the path, so an image that blocks corresponds to a flat blocker.
-// Completeness — any flat blocker q outside the chain sits in some scope S whose chain
-// meets ours at an ancestor A; the q→p path must leave S through an exit e of S, the
-// projection antichain at e dominates the path's prefix summary, and PathSummary::Apply
-// is monotone w.r.t. Timestamp::PartialLeq, so the image of q at e (recursively, at A)
-// blocks whenever q does. Self-images cannot deadlock a pointstamp against itself:
-// Freeze() rejects cycles whose summary dominates the identity, so any projected image of
-// p that could loop back to p strictly advances a coordinate and fails PartialLeq.
-enum class ProgressScoping : uint8_t { kFlat, kScoped };
-
-inline const char* ToString(ProgressScoping s) {
-  return s == ProgressScoping::kFlat ? "flat" : "scoped";
-}
-
 // Wire size of one encoded ProgressUpdate (Pointstamp + i64 delta); used for the
-// cross-scope byte accounting in the router and the scoped tracker.
+// cross-scope byte accounting in the router and the tracker.
 inline uint64_t EncodedProgressUpdateBytes(const Pointstamp& p) {
   return 8 + 1 + 8 * static_cast<uint64_t>(p.time.coords.size()) + 1 + 4 + 8;
 }
 
-// Accounting the scoped refactor is measured by (bench/fig6c_progress.cpp, src/obs/).
-struct ProgressScopingStats {
+// Accounting the per-scope organization is measured by (bench/fig6c_progress.cpp,
+// src/obs/).
+struct ProgressTrackerStats {
   uint64_t boundary_updates = 0;       // image deltas pushed across a scope boundary
   uint64_t boundary_update_bytes = 0;  // their encoded size, were they wire traffic
   uint64_t query_scans = 0;            // frontier queries that walked occurrence maps
@@ -243,16 +215,30 @@ struct ProgressScopingStats {
   uint64_t num_scopes = 1;
 };
 
+// The occurrence counts of §2.3, organized as one occurrence map per loop scope
+// (LogicalGraph's scope tree). An update at a scope-internal location stays in that
+// scope's map; only when the scope's activity at a pointstamp starts or stops does a
+// *summarized* image update (loop counter projected away via the Ψ antichain onto the
+// scope's egress exits) propagate to the parent. Frontier queries walk the query's scope
+// chain — own scope, ancestors, and the collapsed child images — instead of the whole
+// graph's active set.
+//
+// Equivalence with the flat §2.3 scan over one global map (model-checked against an
+// independent reference by tests/progress_scoped_model_test.cc): a chain query blocks
+// iff the flat scan blocks. Soundness — every image entry is Apply(summary, q.time) for a
+// real active q and a real path prefix, and Ψ from the exit onward completes the path, so
+// an image that blocks corresponds to a flat blocker. Completeness — any flat blocker q
+// outside the chain sits in some scope S whose chain meets ours at an ancestor A; the q→p
+// path must leave S through an exit e of S, the projection antichain at e dominates the
+// path's prefix summary, and PathSummary::Apply is monotone w.r.t. Timestamp::PartialLeq,
+// so the image of q at e (recursively, at A) blocks whenever q does. Self-images cannot
+// deadlock a pointstamp against itself: Freeze() rejects cycles whose summary dominates
+// the identity, so any projected image of p that could loop back to p strictly advances
+// a coordinate and fails PartialLeq.
 class ProgressTracker {
  public:
-  ProgressTracker(const LogicalGraph* graph, EventCount* event,
-                  ProgressScoping scoping = ProgressScoping::kFlat)
-      : graph_(graph), event_(event), scoping_(scoping) {
-    if (scoping_ == ProgressScoping::kFlat) {
-      scopes_.resize(1);  // the whole graph is one scope; no graph needed to place updates
-      ready_ = true;
-    }
-  }
+  ProgressTracker(const LogicalGraph* graph, EventCount* event)
+      : graph_(graph), event_(event) {}
 
   void Apply(std::span<const ProgressUpdate> updates) {
     if (updates.empty()) {
@@ -261,9 +247,9 @@ class ProgressTracker {
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!ready_ && !graph_->frozen()) {
-        // Scoped placement needs the frozen scope tree, but in distributed mode a peer's
+        // Placement needs the frozen scope tree, but in distributed mode a peer's
         // progress frames can race this process's startup. Stash and replay on freeze;
-        // queries are conservative (false) until then, matching flat's pre-freeze answers.
+        // queries are conservative (false) until then.
         for (const ProgressUpdate& u : updates) {
           pending_.push_back(u);
         }
@@ -335,7 +321,7 @@ class ProgressTracker {
         return c;
       }
     }
-    const ScopeState& s = scopes_[ScopeIndexLocked(p.loc)];
+    const ScopeState& s = scopes_[graph_->ScopeOf(p.loc)];
     auto it = s.counts.find(p);
     return it == s.counts.end() ? 0 : it->second;
   }
@@ -343,8 +329,8 @@ class ProgressTracker {
   uint64_t version() const { return version_.load(std::memory_order_acquire); }
 
   // Real occurrence counts only (boundary images are derived state), merged across scopes
-  // in Pointstamp order — byte-identical to the flat tracker's snapshot, which the
-  // checkpoint format (src/ft/checkpoint.cc) relies on.
+  // in Pointstamp order — one global snapshot, which the checkpoint format
+  // (src/ft/checkpoint.cc) relies on.
   std::vector<std::pair<Pointstamp, int64_t>> ActiveSnapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
     std::map<Pointstamp, int64_t> merged;
@@ -366,11 +352,9 @@ class ProgressTracker {
     return out;
   }
 
-  ProgressScoping scoping() const { return scoping_; }
-
-  ProgressScopingStats ScopingStats() const {
+  ProgressTrackerStats Stats() const {
     std::lock_guard<std::mutex> lock(mu_);
-    ProgressScopingStats out = stats_;
+    ProgressTrackerStats out = stats_;
     out.num_scopes = scopes_.empty() ? 1 : scopes_.size();
     return out;
   }
@@ -410,13 +394,8 @@ class ProgressTracker {
 
   static constexpr size_t kMemoLimit = 4096;  // per-scope; cleared wholesale on overflow
 
-  uint32_t ScopeIndexLocked(const Location& l) const {
-    return scoping_ == ProgressScoping::kFlat ? 0 : graph_->ScopeOf(l);
-  }
-
   // Builds the per-scope states from the frozen scope tree and replays updates that
-  // arrived before the freeze. Caller holds mu_ and has checked graph_->frozen() (or
-  // flat mode, which is ready from construction).
+  // arrived before the freeze. Caller holds mu_ and has checked graph_->frozen().
   void EnsureReadyLocked() const {
     if (ready_) {
       return;
@@ -432,7 +411,7 @@ class ProgressTracker {
   }
 
   void ApplyOneLocked(const Pointstamp& p, int64_t delta) const {
-    const uint32_t sc = ScopeIndexLocked(p.loc);
+    const uint32_t sc = graph_->ScopeOf(p.loc);
     ScopeState& s = scopes_[sc];
     auto img = s.image.find(p);
     const bool img_pos = img != s.image.end() && img->second > 0;
@@ -444,7 +423,7 @@ class ProgressTracker {
       s.counts.erase(p);
     }
     ++s.version;
-    if (eff_was != eff_now && scoping_ == ProgressScoping::kScoped && sc != 0) {
+    if (eff_was != eff_now && sc != 0) {
       PropagateLocked(p, eff_now ? +1 : -1);
     }
   }
@@ -465,7 +444,7 @@ class ProgressTracker {
   }
 
   void ImageDeltaLocked(const Pointstamp& bp, int64_t dir) const {
-    const uint32_t sc = ScopeIndexLocked(bp.loc);
+    const uint32_t sc = graph_->ScopeOf(bp.loc);
     ScopeState& t = scopes_[sc];
     auto real = t.counts.find(bp);
     const bool real_pos = real != t.counts.end() && real->second > 0;
@@ -490,7 +469,7 @@ class ProgressTracker {
       if (t == 0) {
         return stamp;
       }
-      t = scoping_ == ProgressScoping::kFlat ? 0 : graph_->ScopeParent(t);
+      t = graph_->ScopeParent(t);
     }
   }
 
@@ -500,7 +479,7 @@ class ProgressTracker {
   // nothing on the chain (the sibling-scope case the O(active²) rescan paid for) leaves
   // the stamp untouched and the memoized verdict stands.
   bool BlockedLocked(const Pointstamp& p, bool exclude_self) const {
-    const uint32_t sc = ScopeIndexLocked(p.loc);
+    const uint32_t sc = graph_->ScopeOf(p.loc);
     const uint64_t stamp = ChainStampLocked(sc);
     ScopeState& home = scopes_[sc];
     if (home.memo.size() >= kMemoLimit) {
@@ -535,7 +514,7 @@ class ProgressTracker {
       if (t == 0) {
         break;
       }
-      t = scoping_ == ProgressScoping::kFlat ? 0 : graph_->ScopeParent(t);
+      t = graph_->ScopeParent(t);
     }
     slot_stamp = stamp;
     slot_verdict = blocked;
@@ -557,14 +536,13 @@ class ProgressTracker {
 
   const LogicalGraph* graph_;
   EventCount* event_;
-  const ProgressScoping scoping_;
   mutable std::mutex mu_;
   // Mutable: queries lazily build the scope states after the freeze and update the memo
-  // and stats; all under mu_, same concurrency profile as the flat tracker.
+  // and stats; all under mu_.
   mutable bool ready_ = false;
   mutable std::vector<ScopeState> scopes_;
-  mutable std::vector<ProgressUpdate> pending_;  // pre-freeze arrivals (scoped mode only)
-  mutable ProgressScopingStats stats_;
+  mutable std::vector<ProgressUpdate> pending_;  // arrivals before the graph froze
+  mutable ProgressTrackerStats stats_;
   std::atomic<uint64_t> version_{0};
 };
 

@@ -298,7 +298,6 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
   c.workers_per_process = cfg_.workers_per_process;
   c.batch_size = cfg_.batch_size;
   c.default_parallelism = cfg_.default_parallelism;
-  c.scoping = cfg_.scoping;
   c.obs = cfg_.obs;
   if (!c.obs.trace_path.empty()) {
     c.obs.trace_path += ".p" + std::to_string(slot_);  // one file per member process

@@ -86,7 +86,6 @@ struct ClusterRunConfig {
   uint32_t processes = 3;
   uint32_t workers_per_process = 2;
   ProgressStrategy strategy = ProgressStrategy::kLocalGlobalAcc;
-  ProgressScoping scoping = ProgressScoping::kFlat;
   size_t batch_size = 4096;
   uint32_t default_parallelism = 0;
   uint64_t total_epochs = 6;

@@ -3,7 +3,6 @@
 #include "src/net/job_server.h"
 
 #include <chrono>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
@@ -785,20 +784,6 @@ bool ClusterControl::RunCheckpointBarrier(
   ctl_->obs().tracer().ControlSpan(obs::TraceKind::kClusterCheckpoint, t0,
                                    obs::MonotonicNs(), epoch, rounds, committed ? 1 : 0);
   return committed;
-}
-
-ProgressScoping ProgressScopingFromEnv(ProgressScoping def) {
-  const char* v = std::getenv("NAIAD_PROGRESS_SCOPING");
-  if (v == nullptr || *v == '\0') {
-    return def;
-  }
-  const std::string s(v);
-  if (s == "scoped") {
-    return ProgressScoping::kScoped;
-  }
-  NAIAD_CHECK(s == "flat") << "NAIAD_PROGRESS_SCOPING must be 'flat' or 'scoped', got "
-                           << s;
-  return ProgressScoping::kFlat;
 }
 
 ClusterStats Cluster::Run(const ClusterOptions& opts, const Body& body) {

@@ -80,7 +80,6 @@ struct ClusterOptions {
   uint32_t processes = 2;
   uint32_t workers_per_process = 2;
   ProgressStrategy strategy = ProgressStrategy::kLocalGlobalAcc;
-  ProgressScoping scoping = ProgressScoping::kFlat;
   size_t batch_size = 4096;
   uint32_t default_parallelism = 0;
   // Optional fault-injection plan (src/testing/fault.h); must outlive the run. Faults are
@@ -121,14 +120,14 @@ struct ClusterStats {
   // Scope attribution of the progress traffic (see DistributedProgressRouter): bytes of
   // emitted updates whose pointstamps live in the root space, bytes of loop-internal
   // updates a per-scope deployment would keep local, and the summarized boundary deltas
-  // (ProgressTracker::ScopingStats) that would cross instead. In flat mode everything is
-  // cross-scope and boundary bytes are zero.
+  // (ProgressTracker::Stats) that would cross instead. A loop-free dataflow has one
+  // scope: everything is cross-scope and boundary bytes are zero.
   uint64_t progress_cross_scope_bytes = 0;
   uint64_t progress_in_scope_bytes = 0;
   uint64_t progress_boundary_bytes = 0;
   uint64_t progress_boundary_updates = 0;
   uint64_t occ_map_peak = 0;       // Σ over processes of the trackers' occurrence peaks
-  uint64_t occ_map_peak_root = 0;  // same, root scope only (== occ_map_peak when flat)
+  uint64_t occ_map_peak_root = 0;  // same, root scope only (all of it when loop-free)
   double elapsed_seconds = 0;
   // Merged metrics across all processes; empty unless opts.obs.metrics was set.
   obs::ObsSnapshot obs;
@@ -162,11 +161,6 @@ struct ClusterStats {
   uint64_t frames_shed = 0;            // data frames dropped under shed_data
   uint64_t send_queue_hwm_bytes = 0;   // max over processes of peak per-link queued bytes
 };
-
-// Reads NAIAD_PROGRESS_SCOPING ("flat" / "scoped"); the sweep tests and the CI matrix use
-// it to run the same binaries under both progress organizations.
-ProgressScoping ProgressScopingFromEnv(
-    ProgressScoping def = ProgressScoping::kFlat);
 
 // Per-process cluster control plane: the termination barrier, the checkpoint quiet-point
 // barrier, and failure/recovery signalling, all over kControl frames. One instance per

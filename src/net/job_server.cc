@@ -322,7 +322,6 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
   cfg.workers_per_process = opts_.workers_per_process;
   cfg.batch_size = opts_.batch_size;
   cfg.default_parallelism = opts_.default_parallelism;
-  cfg.scoping = opts_.scoping;
   cfg.obs = opts_.obs;
   cfg.obs.trace_path.clear();  // the server writes one combined file at Stop()
   cfg.host_pool = ps.pool.get();
@@ -436,7 +435,7 @@ void JobServer::RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx) {
     js.torn_down = js.torn_down || torn;
     agg_.progress_cross_scope_bytes += ctx->router->cross_scope_update_bytes();
     agg_.progress_in_scope_bytes += ctx->router->in_scope_update_bytes();
-    const ProgressScopingStats s = ctx->ctl->tracker().ScopingStats();
+    const ProgressTrackerStats s = ctx->ctl->tracker().Stats();
     agg_.progress_boundary_bytes += s.boundary_update_bytes;
     agg_.progress_boundary_updates += s.boundary_updates;
     agg_.occ_map_peak += s.occ_map_peak;

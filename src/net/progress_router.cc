@@ -20,13 +20,14 @@ std::vector<ProgressUpdate> DistributedProgressRouter::DecodeUpdates(
 }
 
 void DistributedProgressRouter::AccountScopes(const std::vector<ProgressUpdate>& updates) {
-  const bool scoped = ctl_->config().scoping == ProgressScoping::kScoped &&
-                      ctl_->graph().frozen();
+  // The scope tree exists only once the graph froze; a peer's update that races this
+  // process's startup is attributed to the root space.
+  const bool frozen = ctl_->graph().frozen();
   uint64_t cross = 0;
   uint64_t in_scope = 0;
   for (const ProgressUpdate& u : updates) {
     const uint64_t bytes = EncodedProgressUpdateBytes(u.point);
-    if (scoped && ctl_->graph().ScopeOf(u.point.loc) != 0) {
+    if (frozen && ctl_->graph().ScopeOf(u.point.loc) != 0) {
       in_scope += bytes;
     } else {
       cross += bytes;

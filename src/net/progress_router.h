@@ -108,12 +108,11 @@ class DistributedProgressRouter final : public ProgressRouter {
 
   // Scope attribution of the emitted updates (bench/fig6c accounting). An update is
   // cross-scope when its pointstamp lives in the root space — it must reach every
-  // process's global tracker no matter how progress is organized. An update at a loop-
-  // internal location is in-scope: under scoped tracking its occurrence count lives in a
-  // per-scope map and only the (cheaper) summarized boundary deltas, counted by
-  // ProgressTracker::ScopingStats, would cross; the flat broadcast carrying it anyway is
-  // precisely the overhead §3.3's single space pays. Flat mode attributes everything
-  // cross-scope, so flat numbers are the whole-protocol baseline.
+  // process's root occurrence map. An update at a loop-internal location is in-scope: its
+  // occurrence count lives in a per-scope map and only the (cheaper) summarized boundary
+  // deltas, counted by ProgressTracker::Stats, would cross; the broadcast carrying it
+  // anyway is precisely the overhead §3.3's single space pays. The sum of both is the
+  // whole-protocol baseline.
   uint64_t cross_scope_update_bytes() const {
     return cross_scope_update_bytes_.load(std::memory_order_relaxed);
   }

@@ -181,7 +181,7 @@ struct alignas(64) ProcessMetrics {
   // lost wakeup or a host with nothing to do; a growing count with live work is a bug.
   std::atomic<uint64_t> idle_backstop_expiries{0};
 
-  // Scoped progress tracking (ProgressTracker::ScopingStats, stored once at Stop()).
+  // Per-scope progress tracking (ProgressTracker::Stats, stored once at Stop()).
   std::atomic<uint64_t> progress_boundary_updates{0};  // image deltas crossing a scope
   std::atomic<uint64_t> progress_boundary_bytes{0};    // their encoded size
   std::atomic<uint64_t> progress_occ_map_peak{0};      // Σ scopes' occurrence-map peak

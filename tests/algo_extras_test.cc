@@ -159,13 +159,12 @@ TEST(AnalyticsTest, StaleModeAnswersWithoutWaiting) {
   auto [tweets, tweet_handle] = NewInput<Tweet>(b, "tweets");
   auto [queries, query_handle] = NewInput<TopTagQuery>(b, "queries");
   Stream<TopTagAnswer> out = StreamingTopHashtags(tweets, queries, QueryFreshness::kStale);
-  Probe probe = ForEach<TopTagAnswer>(out,
-                                      [&](const Timestamp&, std::vector<TopTagAnswer>& recs) {
-                                        std::lock_guard<std::mutex> lock(mu);
-                                        for (const TopTagAnswer& a : recs) {
-                                          answers[a.query_id] = a;
-                                        }
-                                      });
+  ForEach<TopTagAnswer>(out, [&](const Timestamp&, std::vector<TopTagAnswer>& recs) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (const TopTagAnswer& a : recs) {
+      answers[a.query_id] = a;
+    }
+  });
   ctl.Start();
   tweet_handle->OnNext({Tweet{5, {3}, {}}});
   query_handle->OnNext({TopTagQuery{5, 0}});

@@ -193,14 +193,14 @@ TEST_P(AlgoSweep, IncrementalWccConvergesAcrossEpochs) {
   Controller ctl(Config{.workers_per_process = 2});
   GraphBuilder b(ctl);
   auto [in, handle] = NewInput<Edge>(b);
-  Probe probe = ForEach<NodeLabel>(IncrementalConnectedComponents(in),
-                                   [&](const Timestamp&, std::vector<NodeLabel>& recs) {
-                                     std::lock_guard<std::mutex> lock(mu);
-                                     for (const NodeLabel& nl : recs) {
-                                       auto [it, fresh] = latest.try_emplace(nl.first, nl.second);
-                                       it->second = std::min(it->second, nl.second);
-                                     }
-                                   });
+  ForEach<NodeLabel>(IncrementalConnectedComponents(in),
+                     [&](const Timestamp&, std::vector<NodeLabel>& recs) {
+                       std::lock_guard<std::mutex> lock(mu);
+                       for (const NodeLabel& nl : recs) {
+                         auto [it, fresh] = latest.try_emplace(nl.first, nl.second);
+                         it->second = std::min(it->second, nl.second);
+                       }
+                     });
   ctl.Start();
   handle->OnNext(first);
   handle->OnNext(second);

@@ -109,9 +109,6 @@ ClusterRunConfig BaseConfig(const std::string& dir) {
   ClusterRunConfig cfg;
   cfg.processes = 3;
   cfg.workers_per_process = 2;
-  // NAIAD_PROGRESS_SCOPING=scoped runs the whole sweep (clean reference included) under
-  // scoped progress tracking; the member processes inherit the env through fork.
-  cfg.scoping = ProgressScopingFromEnv();
   cfg.total_epochs = 4;
   cfg.checkpoint_every = 2;  // checkpoints after epochs 1 and 3 (3 also = final)
   cfg.ckpt_dir = dir;

@@ -124,20 +124,11 @@ TEST_F(ProgressTrackerTest, VersionAdvancesOnApply) {
   EXPECT_GT(tracker.version(), v0);
 }
 
-// The scoped tracker organized over the same LoopGraph must agree with flat on the
-// fixture's canonical frontier facts (the model sweep in progress_scoped_model_test.cc
-// covers randomized schedules; this pins the basics with readable assertions).
-class ScopedProgressTrackerTest : public ::testing::Test {
- protected:
-  LoopGraph lg;
-  EventCount ev;
-  ProgressTracker tracker{&lg.g, &ev, ProgressScoping::kScoped};
-
-  void Apply(const Pointstamp& p, int64_t d) {
-    ProgressUpdate u{p, d};
-    tracker.Apply(std::span<const ProgressUpdate>(&u, 1));
-  }
-};
+// Frontier facts that cross the loop's scope boundary, where a root query sees loop-
+// internal activity only through its summarized image (the model sweep in
+// progress_scoped_model_test.cc covers randomized schedules; this pins the basics with
+// readable assertions).
+class ScopedProgressTrackerTest : public ProgressTrackerTest {};
 
 TEST_F(ScopedProgressTrackerTest, LoopActivityBlocksDownstreamThroughBoundaryImage) {
   Apply({T(0, {3}), Location::Stage(lg.body)}, +1);
@@ -145,7 +136,7 @@ TEST_F(ScopedProgressTrackerTest, LoopActivityBlocksDownstreamThroughBoundaryIma
   // through the summarized image at the egress output connector.
   EXPECT_FALSE(tracker.CanDeliver({T(0), Location::Stage(lg.out)}));
   EXPECT_TRUE(tracker.CanDeliver({T(0), Location::Stage(lg.in)}));  // upstream unaffected
-  EXPECT_GT(tracker.ScopingStats().boundary_updates, 0u);
+  EXPECT_GT(tracker.Stats().boundary_updates, 0u);
   Apply({T(0, {3}), Location::Stage(lg.body)}, -1);
   EXPECT_TRUE(tracker.CanDeliver({T(0), Location::Stage(lg.out)}));
   EXPECT_TRUE(tracker.Empty());
@@ -218,7 +209,7 @@ struct TwoLoopGraph {
 TEST(ScopedDirtyBitTest, SiblingScopeUpdatesDoNotInvalidateFrontierQueries) {
   TwoLoopGraph tg;
   EventCount ev;
-  ProgressTracker tracker{&tg.g, &ev, ProgressScoping::kScoped};
+  ProgressTracker tracker{&tg.g, &ev};
   auto apply = [&](const Pointstamp& p, int64_t d) {
     ProgressUpdate u{p, d};
     tracker.Apply(std::span<const ProgressUpdate>(&u, 1));
@@ -229,21 +220,20 @@ TEST(ScopedDirtyBitTest, SiblingScopeUpdatesDoNotInvalidateFrontierQueries) {
   // Activate loop A; its image lands at the egress-A output connector in the root scope.
   apply(pa, +1);
   ASSERT_FALSE(tracker.CanDeliver(pb));  // loop A upstream of loop B ⇒ blocked
-  const uint64_t scans_after_first = tracker.ScopingStats().query_scans;
+  const uint64_t scans_after_first = tracker.Stats().query_scans;
   ASSERT_GE(scans_after_first, 1u);
 
   // Same query again: memo hit, no new scan.
   ASSERT_FALSE(tracker.CanDeliver(pb));
-  EXPECT_EQ(tracker.ScopingStats().query_scans, scans_after_first);
-  EXPECT_GE(tracker.ScopingStats().query_memo_hits, 1u);
+  EXPECT_EQ(tracker.Stats().query_scans, scans_after_first);
+  EXPECT_GE(tracker.Stats().query_memo_hits, 1u);
 
   // A second occurrence at the already-active pa changes only loop A's internal count —
   // no boundary transition, nothing on B's chain (scope B, root) moved. The memoized
-  // verdict must stand without a rescan. (The flat tracker rescans here: any update
-  // dirties its single global scope.)
+  // verdict must stand without a rescan.
   apply(pa, +1);
   ASSERT_FALSE(tracker.CanDeliver(pb));
-  EXPECT_EQ(tracker.ScopingStats().query_scans, scans_after_first)
+  EXPECT_EQ(tracker.Stats().query_scans, scans_after_first)
       << "sibling-scope update invalidated an unrelated frontier query";
 
   // Draining loop A removes its boundary image from the root — which IS on B's chain —
@@ -251,24 +241,26 @@ TEST(ScopedDirtyBitTest, SiblingScopeUpdatesDoNotInvalidateFrontierQueries) {
   apply(pa, -1);
   apply(pa, -1);
   ASSERT_TRUE(tracker.CanDeliver(pb));
-  EXPECT_GT(tracker.ScopingStats().query_scans, scans_after_first);
+  EXPECT_GT(tracker.Stats().query_scans, scans_after_first);
 }
 
-// Flat mode gets the same memoization with a single scope: repeated queries with no
-// intervening Apply are served from the memo.
-TEST(ScopedDirtyBitTest, FlatModeMemoizesRepeatQueries) {
+// A root-scope query, whose chain is the root alone, is memoized the same way: repeated
+// queries with no intervening Apply are served from the memo, here while the blocker is
+// loop A's boundary image.
+TEST(ScopedDirtyBitTest, RootScopeQueriesMemoizeRepeats) {
   TwoLoopGraph tg;
   EventCount ev;
-  ProgressTracker tracker{&tg.g, &ev, ProgressScoping::kFlat};
+  ProgressTracker tracker{&tg.g, &ev};
   ProgressUpdate u{{Timestamp(0, {0}), Location::Stage(tg.bodyA)}, +1};
   tracker.Apply(std::span<const ProgressUpdate>(&u, 1));
-  const Pointstamp pb{Timestamp(0, {0}), Location::Stage(tg.bodyB)};
-  ASSERT_FALSE(tracker.CanDeliver(pb));
-  const uint64_t scans = tracker.ScopingStats().query_scans;
-  ASSERT_FALSE(tracker.CanDeliver(pb));
-  ASSERT_FALSE(tracker.CanDeliver(pb));
-  EXPECT_EQ(tracker.ScopingStats().query_scans, scans);
-  EXPECT_GE(tracker.ScopingStats().query_memo_hits, 2u);
+  const Pointstamp pm{Timestamp(0), Location::Stage(tg.mid)};
+  ASSERT_EQ(tg.g.ScopeOf(pm.loc), 0u);
+  ASSERT_FALSE(tracker.CanDeliver(pm));
+  const uint64_t scans = tracker.Stats().query_scans;
+  ASSERT_FALSE(tracker.CanDeliver(pm));
+  ASSERT_FALSE(tracker.CanDeliver(pm));
+  EXPECT_EQ(tracker.Stats().query_scans, scans);
+  EXPECT_GE(tracker.Stats().query_memo_hits, 2u);
 }
 
 TEST(ProgressBufferTest, CombinesAndOrdersPositivesFirst) {

@@ -57,10 +57,6 @@ std::map<std::string, uint64_t> RunWordCount(ClusterFaultPlan* plan) {
   Cluster::Run(
       ClusterOptions{.processes = kProcesses,
                      .workers_per_process = 1,
-                     // NAIAD_PROGRESS_SCOPING=scoped runs the whole sweep (including the
-                     // clean reference) under scoped progress tracking — the CI matrix
-                     // covers both modes.
-                     .scoping = ProgressScopingFromEnv(),
                      .batch_size = 32,  // small batches => many frames => many fault points
                      .fault_plan = plan,
                      // Observability on (no trace file): the sweep doubles as the TSan

@@ -1,15 +1,16 @@
-// Progress-strategy × scoping equivalence (§3.3): the four broadcast strategies are
-// different encodings of the same protocol, and flat vs scoped tracking are different
-// organizations of the same occurrence counts — so all 8 combinations, on any graph
-// including randomized loop graphs with a loop-within-a-loop, must drive identical
-// computations: same per-vertex OnNotify timestamp sequences, same outputs.
+// Progress-strategy equivalence (§3.3): the four broadcast strategies are different
+// encodings of the same protocol, so all four, on any graph including randomized loop
+// graphs with a loop-within-a-loop, must drive identical computations: same per-vertex
+// OnNotify timestamp sequences, same outputs.
 //
 // Each seed builds a random pipeline (a chain of notify-recording stages, a loop whose
 // body decrements a per-record countdown, more recorders inside the loop, optionally a
 // nested inner loop decrementing a second countdown) and runs it on a 2-process cluster
-// under the full ProgressStrategy × ProgressScoping matrix, driving epochs strictly
-// sequentially (probe barrier between epochs) so the notification order at every vertex
-// is fully determined by the protocol rather than input-arrival races.
+// under every ProgressStrategy, driving epochs strictly sequentially (probe barrier
+// between epochs) so the notification order at every vertex is fully determined by the
+// protocol rather than input-arrival races. Every shape has a loop, so every run must
+// also show the trackers pushing boundary images across a scope: production runs use
+// per-scope tracking.
 
 #include <gtest/gtest.h>
 
@@ -126,18 +127,15 @@ std::vector<Rec> EpochRecords(const Shape& shape, uint64_t epoch, uint32_t proce
 struct RunResult {
   std::map<std::string, std::vector<Timestamp>> notifies;
   std::map<uint64_t, uint64_t> output;  // id -> times seen at egress
+  uint64_t boundary_updates = 0;        // ClusterStats::progress_boundary_updates
 };
 
-RunResult RunShape(const Shape& shape, ProgressStrategy strategy,
-                   ProgressScoping scoping) {
+RunResult RunShape(const Shape& shape, ProgressStrategy strategy) {
   RunResult result;
   NotifyLog log;
   std::mutex out_mu;
-  Cluster::Run(
-      ClusterOptions{.processes = 2,
-                     .workers_per_process = 1,
-                     .strategy = strategy,
-                     .scoping = scoping},
+  const ClusterStats stats = Cluster::Run(
+      ClusterOptions{.processes = 2, .workers_per_process = 1, .strategy = strategy},
       [&](Controller& ctl) {
         GraphBuilder b(ctl);
         auto [in, handle] = NewInput<Rec>(b);
@@ -193,6 +191,7 @@ RunResult RunShape(const Shape& shape, ProgressStrategy strategy,
         ctl.Join();
       });
   result.notifies = std::move(log.seq);
+  result.boundary_updates = stats.progress_boundary_updates;
   return result;
 }
 
@@ -206,31 +205,26 @@ std::string Render(const std::vector<Timestamp>& seq) {
 
 class ProgressEquivalence : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ProgressEquivalence, FullStrategyScopingMatrixProducesIdenticalNotifyOrders) {
+TEST_P(ProgressEquivalence, AllStrategiesProduceIdenticalNotifyOrders) {
   const Shape shape = ShapeFromSeed(GetParam());
   const ProgressStrategy strategies[] = {
       ProgressStrategy::kDirect, ProgressStrategy::kLocalAcc,
       ProgressStrategy::kGlobalAcc, ProgressStrategy::kLocalGlobalAcc};
-  const ProgressScoping scopings[] = {ProgressScoping::kFlat, ProgressScoping::kScoped};
-  RunResult ref = RunShape(shape, strategies[0], scopings[0]);
+  RunResult ref = RunShape(shape, strategies[0]);
   ASSERT_FALSE(ref.notifies.empty());
   ASSERT_FALSE(ref.output.empty());
-  for (size_t i = 0; i < 4; ++i) {
-    for (size_t j = 0; j < 2; ++j) {
-      if (i == 0 && j == 0) {
-        continue;  // the reference itself
-      }
-      const std::string label = std::string("strategy ") + ToString(strategies[i]) +
-                                " scoping " + ToString(scopings[j]);
-      RunResult got = RunShape(shape, strategies[i], scopings[j]);
-      EXPECT_EQ(got.output, ref.output) << label;
-      ASSERT_EQ(got.notifies.size(), ref.notifies.size()) << label;
-      for (const auto& [vertex, want] : ref.notifies) {
-        auto it = got.notifies.find(vertex);
-        ASSERT_NE(it, got.notifies.end()) << label << " missing " << vertex;
-        EXPECT_EQ(it->second, want) << label << " vertex " << vertex << "\n  got  "
-                                    << Render(it->second) << "\n  want " << Render(want);
-      }
+  EXPECT_GT(ref.boundary_updates, 0u) << "strategy " << ToString(strategies[0]);
+  for (size_t i = 1; i < 4; ++i) {
+    const std::string label = std::string("strategy ") + ToString(strategies[i]);
+    RunResult got = RunShape(shape, strategies[i]);
+    EXPECT_GT(got.boundary_updates, 0u) << label;
+    EXPECT_EQ(got.output, ref.output) << label;
+    ASSERT_EQ(got.notifies.size(), ref.notifies.size()) << label;
+    for (const auto& [vertex, want] : ref.notifies) {
+      auto it = got.notifies.find(vertex);
+      ASSERT_NE(it, got.notifies.end()) << label << " missing " << vertex;
+      EXPECT_EQ(it->second, want) << label << " vertex " << vertex << "\n  got  "
+                                  << Render(it->second) << "\n  want " << Render(want);
     }
   }
 }
