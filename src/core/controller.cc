@@ -138,7 +138,7 @@ void Controller::Start() {
 
 void Controller::Join() {
   NAIAD_CHECK(started_);
-  tracker_.WaitFor([&] { return tracker_.Empty() || cancelled(); });
+  tracker_.WaitDrained([&] { return cancelled(); });
   if (quiesce_hook_ && !cancelled()) {
     quiesce_hook_();
   }
@@ -170,6 +170,7 @@ void Controller::Stop() {
     pm->progress_occ_map_peak_root.store(ps.occ_map_peak_root, std::memory_order_relaxed);
     pm->progress_query_memo_hits.store(ps.query_memo_hits, std::memory_order_relaxed);
     pm->progress_query_scans.store(ps.query_scans, std::memory_order_relaxed);
+    pm->progress_drained_notifies.store(ps.drained_notifies, std::memory_order_relaxed);
   }
   // Single-process trace dump; cluster runs clear trace_path per-process and write one
   // combined file (src/net/cluster.cc) instead. Rings are safe to read here: no host

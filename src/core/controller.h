@@ -90,10 +90,12 @@ class Controller {
   // Idempotent. Never call it holding the job server's jobs_mu (HostPool's lock order).
   void Stop();
 
-  // Job teardown: unblocks Join() (and any tracker WaitFor using `cancelled()` in its
-  // predicate) without waiting for the computation to drain.
+  // Job teardown: unblocks Join() without waiting for the computation to drain. Join
+  // parks on the tracker's drained edge; a job body's own tracker WaitFor with
+  // `cancelled()` in its predicate parks on the host event. Both are woken.
   void RequestCancel() {
     cancelled_.store(true, std::memory_order_release);
+    tracker_.WakeDrainWaiters();
     event().NotifyAll();
   }
   bool cancelled() const { return cancelled_.load(std::memory_order_acquire); }

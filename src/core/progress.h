@@ -212,6 +212,7 @@ struct ProgressTrackerStats {
   uint64_t scan_points = 0;            // pointstamps examined across all query scans
   uint64_t occ_map_peak = 0;           // max Σ over scopes of (counts + image) entries
   uint64_t occ_map_peak_root = 0;      // max entries in the root scope's map alone
+  uint64_t drained_notifies = 0;       // Apply calls that notified the drained edge
   uint64_t num_scopes = 1;
 };
 
@@ -244,25 +245,37 @@ class ProgressTracker {
     if (updates.empty()) {
       return;
     }
+    bool drained;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (!ready_ && !graph_->frozen()) {
         // Placement needs the frozen scope tree, but in distributed mode a peer's
         // progress frames can race this process's startup. Stash and replay on freeze;
-        // queries are conservative (false) until then.
+        // queries are conservative (false) until then. Drain waiters are woken on every
+        // stashed batch: whether the replay will leave the tracker empty is unknown yet.
         for (const ProgressUpdate& u : updates) {
-          pending_.push_back(u);
+          if (u.delta != 0) {
+            pending_.push_back(u);
+          }
         }
+        drained = true;
       } else {
         EnsureReadyLocked();
         for (const ProgressUpdate& u : updates) {
           ApplyOneLocked(u.point, u.delta);
         }
         NotePeaksLocked();
+        drained = nonzero_ == 0;
+      }
+      if (drained) {
+        ++stats_.drained_notifies;
       }
       version_.fetch_add(1, std::memory_order_release);
     }
     event_->NotifyAll();
+    if (drained) {
+      drained_.NotifyAll();
+    }
   }
 
   // §2.3: a notification with (projected) pointstamp p may be delivered when no *other*
@@ -289,21 +302,14 @@ class ProgressTracker {
     return !BlockedLocked(p, /*exclude_self=*/false);
   }
 
+  // No pointstamp has a nonzero occurrence count. O(1): ApplyOneLocked maintains the
+  // count of nonzero entries, and the pre-freeze stash holds only nonzero deltas.
   bool Empty() const {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const ProgressUpdate& u : pending_) {
-      if (u.delta != 0) {
-        return false;
-      }
+    if (!ready_ && graph_->frozen()) {
+      EnsureReadyLocked();  // the replayed stash may cancel out
     }
-    for (const ScopeState& s : scopes_) {
-      for (const auto& [q, count] : s.counts) {
-        if (count != 0) {
-          return false;
-        }
-      }
-    }
-    return true;
+    return nonzero_ == 0 && pending_.empty();
   }
 
   int64_t Count(const Pointstamp& p) const {
@@ -359,9 +365,10 @@ class ProgressTracker {
     return out;
   }
 
-  // Blocks the calling (non-worker) thread until `pred`-style conditions hold; used by
-  // Join and by output probes. Whatever can flip `pred` must notify the event (tracker
-  // changes, cancellation, recovery requests do); the wait's timeout is only the backstop.
+  // Blocks the calling (non-worker) thread until `pred` holds, parked on the host event;
+  // used by output probes and other frontier waits. Every tracker Apply notifies that
+  // event, and so must whatever else can flip `pred` (cancellation and recovery requests
+  // do); the wait's timeout is only the backstop. Waits for Empty() use WaitDrained.
   template <typename Pred>
   void WaitFor(Pred pred) const {
     while (true) {
@@ -372,6 +379,23 @@ class ProgressTracker {
       event_->CommitWait(ticket);
     }
   }
+
+  // Blocks the calling (non-worker) thread until the tracker is Empty() or `stop()` holds;
+  // used by Join and the termination barrier. Parks on the drained edge, which only an
+  // Apply that leaves the tracker empty notifies (plus, conservatively, every Apply before
+  // the graph freezes), so the waiter sleeps through the run's other progress traffic.
+  // Whatever can flip `stop` must call WakeDrainWaiters after setting its flag.
+  template <typename Stop>
+  void WaitDrained(Stop stop) const {
+    while (true) {
+      EventCount::Ticket ticket = drained_.PrepareWait();
+      if (Empty() || stop()) {
+        return;
+      }
+      drained_.CommitWait(ticket);
+    }
+  }
+  void WakeDrainWaiters() { drained_.NotifyAll(); }
 
   const LogicalGraph* graph() const { return graph_; }
 
@@ -417,10 +441,14 @@ class ProgressTracker {
     const bool img_pos = img != s.image.end() && img->second > 0;
     int64_t& c = s.counts[p];
     const bool eff_was = c > 0 || img_pos;
+    if (c == 0) {
+      ++nonzero_;  // a new entry: zero counts are erased below
+    }
     c += delta;
     const bool eff_now = c > 0 || img_pos;
     if (c == 0) {
       s.counts.erase(p);
+      --nonzero_;
     }
     ++s.version;
     if (eff_was != eff_now && sc != 0) {
@@ -541,8 +569,10 @@ class ProgressTracker {
   // and stats; all under mu_.
   mutable bool ready_ = false;
   mutable std::vector<ScopeState> scopes_;
-  mutable std::vector<ProgressUpdate> pending_;  // arrivals before the graph froze
+  mutable std::vector<ProgressUpdate> pending_;  // nonzero arrivals before the freeze
+  mutable uint64_t nonzero_ = 0;  // Σ over scopes of counts entries (all nonzero)
   mutable ProgressTrackerStats stats_;
+  mutable EventCount drained_;  // notified when an Apply leaves the tracker empty
   std::atomic<uint64_t> version_{0};
 };
 

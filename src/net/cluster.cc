@@ -401,8 +401,10 @@ void ClusterControl::WakeWaiters() {
   // predicate check under mu_, so the notify below cannot fall between check and wait.
   { std::lock_guard<std::mutex> lock(mu_); }
   cv_.notify_all();
-  // RunTerminationBarrier and the recovery harness also wait for these flags inside
-  // tracker WaitFor predicates, which park on the controller's event.
+  // RunTerminationBarrier waits for recovery_requested() on the tracker's drained edge
+  // (WaitDrained); the recovery harness's epoch waits check it inside tracker WaitFor
+  // predicates, which park on the controller's event.
+  ctl_->tracker().WakeDrainWaiters();
   ctl_->event().NotifyAll();
 }
 
@@ -616,8 +618,7 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
 
 bool ClusterControl::RunTerminationBarrier() {
   for (uint64_t round = 0;; ++round) {
-    ctl_->tracker().WaitFor(
-        [&] { return ctl_->tracker().Empty() || recovery_requested(); });
+    ctl_->tracker().WaitDrained([&] { return recovery_requested(); });
     if (recovery_requested()) {
       return false;
     }

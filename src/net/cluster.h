@@ -303,7 +303,7 @@ class ClusterControl {
   void HandleStallReport(uint32_t src, ByteReader& r);
   void BroadcastRecover(uint32_t victim);
   void NoteVictim(uint32_t victim);
-  // Call after storing an atomic flag a barrier or WaitFor predicate watches
+  // Call after storing an atomic flag a barrier, WaitFor or WaitDrained predicate watches
   // (recovery_requested_, stall_aborted_).
   void WakeWaiters();
 

@@ -188,6 +188,7 @@ struct alignas(64) ProcessMetrics {
   std::atomic<uint64_t> progress_occ_map_peak_root{0};  // root scope's map peak alone
   std::atomic<uint64_t> progress_query_memo_hits{0};   // frontier queries memo-answered
   std::atomic<uint64_t> progress_query_scans{0};       // frontier queries that scanned
+  std::atomic<uint64_t> progress_drained_notifies{0};  // Applies that left it empty
 
   // Selective rollback recovery (src/ft/log_recovery.h).
   std::atomic<uint64_t> selective_recoveries{0};     // survivor-preserving restarts
@@ -267,6 +268,8 @@ class Metrics {
               process_.progress_query_memo_hits.load(std::memory_order_relaxed));
     b.Counter("progress_query_scans",
               process_.progress_query_scans.load(std::memory_order_relaxed));
+    b.Counter("progress_drained_notifies",
+              process_.progress_drained_notifies.load(std::memory_order_relaxed));
     b.Counter("selective_recoveries",
               process_.selective_recoveries.load(std::memory_order_relaxed));
     b.Counter("log_records_logged",

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "src/base/event_count.h"
@@ -122,6 +125,65 @@ TEST_F(ProgressTrackerTest, VersionAdvancesOnApply) {
   uint64_t v0 = tracker.version();
   Apply({T(0), Location::Stage(lg.in)}, +1);
   EXPECT_GT(tracker.version(), v0);
+}
+
+// The drained edge (WaitDrained) is notified only by an Apply that leaves the tracker
+// empty: activations, and retirements that leave other pointstamps active, are silent.
+TEST_F(ProgressTrackerTest, DrainedEdgeFiresOnlyOnTheDrainingApply) {
+  const Pointstamp open{T(0), Location::Connector(lg.in_ing)};
+  const Pointstamp inner{T(0, {1}), Location::Stage(lg.body)};
+  Apply(open, +1);
+  Apply(inner, +1);
+  Apply(inner, -1);
+  Apply({T(0), Location::Stage(lg.out)}, -1);  // a transient negative count is nonzero
+  Apply({T(0), Location::Stage(lg.out)}, +1);
+  EXPECT_FALSE(tracker.Empty());
+  EXPECT_EQ(tracker.Stats().drained_notifies, 0u);
+
+  std::atomic<bool> returned{false};
+  std::thread waiter([&] {
+    tracker.WaitDrained([] { return false; });
+    returned.store(true);
+  });
+  // Not the event the test waits for: only gives the waiter time to park, so the
+  // draining Apply below usually finds it blocked.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_FALSE(returned.load());
+  Apply(open, -1);
+  waiter.join();
+  EXPECT_TRUE(tracker.Empty());
+  EXPECT_EQ(tracker.Stats().drained_notifies, 1u);
+}
+
+// A drain wait on a tracker that never drains returns once its stop flag is set and the
+// waiters are woken (Controller::RequestCancel, ClusterControl's recovery flags).
+TEST_F(ProgressTrackerTest, DrainWaitReturnsOnStopFlagAndWake) {
+  Apply({T(0), Location::Stage(lg.in)}, +1);
+  std::atomic<bool> stop{false};
+  std::thread waiter([&] { tracker.WaitDrained([&] { return stop.load(); }); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // lets the waiter park
+  stop.store(true);
+  tracker.WakeDrainWaiters();
+  waiter.join();
+  EXPECT_FALSE(tracker.Empty());
+  EXPECT_EQ(tracker.Stats().drained_notifies, 0u);
+}
+
+// Before the graph freezes, updates are stashed unplaced: every stashed Apply notifies
+// the drained edge, and Empty() sees a stash that cancels out once the graph freezes.
+TEST(ProgressTrackerStashTest, StashedAppliesNotifyAndCancelOnFreeze) {
+  LogicalGraph g;
+  const StageId s = g.AddStage(StageDef{});
+  EventCount ev;
+  ProgressTracker tracker(&g, &ev);
+  const ProgressUpdate up{Pointstamp{T(0), Location::Stage(s)}, +1};
+  const ProgressUpdate down{Pointstamp{T(0), Location::Stage(s)}, -1};
+  tracker.Apply(std::span<const ProgressUpdate>(&up, 1));
+  tracker.Apply(std::span<const ProgressUpdate>(&down, 1));
+  EXPECT_FALSE(tracker.Empty());  // unplaced: conservatively active
+  EXPECT_EQ(tracker.Stats().drained_notifies, 2u);
+  g.Freeze();
+  EXPECT_TRUE(tracker.Empty());
 }
 
 // Frontier facts that cross the loop's scope boundary, where a root query sees loop-

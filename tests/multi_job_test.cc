@@ -359,6 +359,9 @@ TEST(JobServerBarrier, CrossProcessWakeupIsEventDriven) {
   // The backstop counter names the same failure directly: with a live job, every expiry
   // is a host that slept through work (or had none for 20 ms, which this loop never does).
   EXPECT_LE(stats.obs.counter("idle_backstop_expiries"), 5u);
+  // Join parks on the tracker's drained edge, which fires on the final drain (plus any
+  // updates stashed before a process's graph froze), never once per iteration.
+  EXPECT_LE(stats.obs.counter("progress_drained_notifies"), 4u * kProcesses);
 }
 
 // Regression: PauseAndDrain on a job-server job used to wait forever, because the shared

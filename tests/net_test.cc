@@ -9,9 +9,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
 #include <numeric>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -46,16 +48,56 @@ TEST(SocketTest, RoundTripBytes) {
   EXPECT_FALSE(server.ReadAll(more));  // EOF surfaces as false, not a crash
 }
 
+// State that transport callbacks update and the test thread waits on. Every update
+// notifies, so a wait ends on the event; its deadline is only a backstop for a lost
+// frame. Declare it before the transports whose callbacks use it, so an early return
+// shuts the transports down before it goes away.
+template <typename State>
+class Watched {
+ public:
+  template <typename F>
+  void Update(F f) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      f(state_);
+    }
+    cv_.notify_all();
+  }
+  // Returns whether `pred` held before the backstop expired.
+  template <typename Pred>
+  bool WaitUntil(Pred pred) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30), [&] { return pred(state_); });
+  }
+  State Get() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return state_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  State state_{};
+};
+
+// Data frames received by one transport of a test mesh, and its progress frames.
+struct FrameCounts {
+  uint32_t data = 0;
+  uint32_t progress = 0;
+};
+
 TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
   constexpr uint32_t kProcs = 3;
+  constexpr uint32_t kPer = 200;
+  const size_t expect = (kProcs - 1) * kPer;
+  using Received = std::map<uint32_t, std::vector<std::pair<uint32_t, uint32_t>>>;
+  Watched<Received> received;  // dst -> (src, seq)
   std::vector<std::unique_ptr<TcpTransport>> transports;
   std::vector<uint16_t> ports;
   for (uint32_t p = 0; p < kProcs; ++p) {
     transports.push_back(std::make_unique<TcpTransport>(p, kProcs));
     ports.push_back(transports.back()->Listen());
   }
-  std::mutex mu;
-  std::map<uint32_t, std::vector<std::pair<uint32_t, uint32_t>>> received;  // dst -> (src, seq)
   std::vector<std::thread> starters;
   for (uint32_t p = 0; p < kProcs; ++p) {
     starters.emplace_back([&, p] {
@@ -67,8 +109,7 @@ TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
         }
         ByteReader r(payload);
         uint32_t seq = r.ReadU32();
-        std::lock_guard<std::mutex> lock(mu);
-        received[p].emplace_back(src, seq);
+        received.Update([&](Received& m) { m[p].emplace_back(src, seq); });
       };
       transports[p]->Start(ports, std::move(cb));
     });
@@ -77,7 +118,6 @@ TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
     t.join();
   }
 
-  constexpr uint32_t kPer = 200;
   for (uint32_t src = 0; src < kProcs; ++src) {
     for (uint32_t seq = 0; seq < kPer; ++seq) {
       for (uint32_t dst = 0; dst < kProcs; ++dst) {
@@ -90,29 +130,23 @@ TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
       }
     }
   }
-  // Wait for all deliveries.
-  const size_t expect = (kProcs - 1) * kPer;
-  for (int spin = 0; spin < 2000; ++spin) {
-    std::lock_guard<std::mutex> lock(mu);
+  received.WaitUntil([&](const Received& m) {
     size_t total = 0;
-    for (auto& [dst, v] : received) {
+    for (const auto& [dst, v] : m) {
       total += v.size();
     }
-    if (total == expect * kProcs) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  std::lock_guard<std::mutex> lock(mu);
-  for (uint32_t dst = 0; dst < kProcs; ++dst) {
-    ASSERT_EQ(received[dst].size(), expect);
-    std::map<uint32_t, uint32_t> next;  // per-src FIFO check
-    for (auto [src, seq] : received[dst]) {
-      EXPECT_EQ(seq, next[src]++);
-    }
-  }
+    return total == expect * kProcs;
+  });
   for (auto& t : transports) {
     t->Shutdown();
+  }
+  Received got = received.Get();
+  for (uint32_t dst = 0; dst < kProcs; ++dst) {
+    ASSERT_EQ(got[dst].size(), expect);
+    std::map<uint32_t, uint32_t> next;  // per-src FIFO check
+    for (auto [src, seq] : got[dst]) {
+      EXPECT_EQ(seq, next[src]++);
+    }
   }
 }
 
@@ -279,13 +313,15 @@ TEST(SocketTest, ConnectLocalReachesLateListener) {
 // Callbacks-factory call per process, returning them started.
 std::vector<std::unique_ptr<TcpTransport>> StartMesh(
     const std::vector<LinkPolicy>& policies,
-    const std::function<TcpTransport::Callbacks(uint32_t)>& cb_fn) {
+    const std::function<TcpTransport::Callbacks(uint32_t)>& cb_fn,
+    ClusterFaultPlan* plan = nullptr) {
   const uint32_t n = static_cast<uint32_t>(policies.size());
   std::vector<std::unique_ptr<TcpTransport>> transports;
   std::vector<uint16_t> ports;
   for (uint32_t p = 0; p < n; ++p) {
     transports.push_back(std::make_unique<TcpTransport>(p, n));
     transports.back()->SetLinkPolicy(policies[p]);
+    transports.back()->SetFaultPlan(plan);
     ports.push_back(transports.back()->Listen());
   }
   std::vector<std::thread> starters;
@@ -302,7 +338,7 @@ std::vector<std::unique_ptr<TcpTransport>> StartMesh(
 // declared down in-band by the heartbeat detector. This is the failure mode EOF-driven
 // detection cannot see (a hung process, a half-dead NIC) and the reason the lease exists.
 TEST(TransportTest, HeartbeatLeaseDeclaresSilentPeerDown) {
-  std::atomic<int> down_peer{-1};
+  Watched<std::optional<uint32_t>> down_peer;
   // Process 0: no heartbeats, no detector — it is the "hung" peer. Process 1: detector
   // armed with a short lease; it sends nothing either, so the only way it can learn
   // about 0 is the lease expiring.
@@ -312,15 +348,15 @@ TEST(TransportTest, HeartbeatLeaseDeclaresSilentPeerDown) {
     TcpTransport::Callbacks cb;
     cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>, bool) {};
     if (p == 1) {
-      cb.on_peer_down = [&](uint32_t peer) { down_peer.store(static_cast<int>(peer)); };
+      cb.on_peer_down = [&](uint32_t peer) {
+        down_peer.Update([&](std::optional<uint32_t>& d) { d = peer; });
+      };
     }
     return cb;
   };
   auto transports = StartMesh(policies, cb_fn);
-  for (int spin = 0; spin < 4000 && down_peer.load() < 0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(down_peer.load(), 0);
+  down_peer.WaitUntil([](const std::optional<uint32_t>& d) { return d.has_value(); });
+  EXPECT_EQ(down_peer.Get(), std::optional<uint32_t>(0));
   EXPECT_EQ(transports[1]->peers_declared_down(), 1u);  // declared once, not per tick
   EXPECT_EQ(transports[0]->peers_declared_down(), 0u);  // no detector on the silent side
   for (auto& t : transports) {
@@ -359,19 +395,50 @@ TEST(TransportTest, HeartbeatsRenewLeaseAcrossIdlePeriods) {
   }
 }
 
-// Slow-receiver soak, the satellite's bounded-memory property: with max_queue_bytes set,
+// Holds the 0 -> 1 sender thread before its first frame until Open(), so every frame sent
+// meanwhile must wait in the send queue. Content-preserving: it only delays the write.
+class SenderGate final : public ClusterFaultPlan, public LinkFaultHook {
+ public:
+  LinkFaultHook* Link(uint32_t src, uint32_t dst) override {
+    return src == 0 && dst == 1 ? this : nullptr;
+  }
+  ProgressFaultHook* Progress(uint32_t) override { return nullptr; }
+  WriteStep Next(size_t) override { return {}; }
+  bool ShouldResetBefore(uint64_t) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return open_; });
+    return false;
+  }
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+// Slow-receiver soak, the bounded-memory property: with max_queue_bytes set,
 // the sender's per-link data queue never exceeds the bound no matter how far the
 // receiver falls behind, progress frames keep flowing through the congestion (they are
 // flow-control-exempt), and the run still completes. The unbounded control run shows the
-// pre-policy behavior the bound removes: the queue absorbs nearly the whole soak.
+// pre-policy behavior the bound removes: the queue absorbs the whole soak. Both runs
+// gate the sender thread, so neither depends on the producer outrunning the socket
+// (loopback socket buffers can absorb the whole soak): the bounded run until the
+// producer has stalled on the bound, the unbounded one until the producer is done.
 TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
   constexpr size_t kBound = 32 * 1024;
   constexpr uint32_t kDataFrames = 400;
   constexpr uint32_t kProgressFrames = 50;
   constexpr size_t kPayload = 1024;
   auto run_soak = [&](bool bounded) {
-    std::atomic<uint32_t> data_got{0};
-    std::atomic<uint32_t> progress_got{0};
+    Watched<FrameCounts> got;
+    SenderGate gate;
     std::vector<LinkPolicy> policies(2);
     if (bounded) {
       policies[0].max_queue_bytes = kBound;
@@ -385,39 +452,48 @@ TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
         }
         if (type == FrameType::kData) {
           std::this_thread::sleep_for(std::chrono::microseconds(200));  // slow consumer
-          data_got.fetch_add(1);
+          got.Update([](FrameCounts& c) { ++c.data; });
         } else if (type == FrameType::kProgress) {
-          progress_got.fetch_add(1);
+          got.Update([](FrameCounts& c) { ++c.progress; });
         }
       };
       return cb;
     };
-    auto transports = StartMesh(policies, cb_fn);
+    auto transports = StartMesh(policies, cb_fn, &gate);
     std::thread producer([&] {
       for (uint32_t i = 0; i < kDataFrames; ++i) {
         transports[0]->Send(1, FrameType::kData, std::vector<uint8_t>(kPayload, 0xab));
       }
     });
-    // Progress must flow while the data path is congested (the producer above spends
-    // most of the soak blocked on the bound).
+    if (bounded) {
+      // The gated queue cannot drain, so the producer must stall on the bound. The
+      // transport announces no stall, so this one wait polls its counter; the deadline
+      // is only a backstop.
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (transports[0]->credit_stalls() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      gate.Open();
+    }
+    // Progress must flow while the data path is congested (the bounded run's producer
+    // spends most of the soak blocked on the bound).
     for (uint32_t i = 0; i < kProgressFrames; ++i) {
       transports[0]->Send(1, FrameType::kProgress, std::vector<uint8_t>{1, 2, 3});
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     producer.join();
-    for (int spin = 0; spin < 5000; ++spin) {
-      if (data_got.load() == kDataFrames && progress_got.load() == kProgressFrames) {
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    EXPECT_EQ(data_got.load(), kDataFrames);          // the run completes…
-    EXPECT_EQ(progress_got.load(), kProgressFrames);  // …and progress never starved
+    gate.Open();
+    got.WaitUntil([&](const FrameCounts& c) {
+      return c.data == kDataFrames && c.progress == kProgressFrames;
+    });
     const uint64_t hwm = transports[0]->send_queue_hwm_bytes(1);
     const uint64_t stalls = transports[0]->credit_stalls();
     for (auto& t : transports) {
       t->Shutdown();
     }
+    EXPECT_EQ(got.Get().data, kDataFrames);          // the run completes…
+    EXPECT_EQ(got.Get().progress, kProgressFrames);  // …and progress never starved
     return std::pair<uint64_t, uint64_t>{hwm, stalls};
   };
   const auto [bounded_hwm, bounded_stalls] = run_soak(/*bounded=*/true);
@@ -433,7 +509,7 @@ TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
 // sender end-to-end (not just at the local queue) — and every frame still arrives.
 TEST(TransportTest, CreditWindowThrottlesToReceiverConsumption) {
   constexpr uint32_t kFrames = 100;
-  std::atomic<uint32_t> data_got{0};
+  Watched<uint32_t> data_got;
   std::vector<LinkPolicy> policies(2);
   for (auto& p : policies) {
     p.heartbeat_interval_ms = 5;  // grants ride the heartbeats; keep them frequent
@@ -445,7 +521,7 @@ TEST(TransportTest, CreditWindowThrottlesToReceiverConsumption) {
                          bool) {
       if (p == 1 && type == FrameType::kData) {
         std::this_thread::sleep_for(std::chrono::microseconds(500));
-        data_got.fetch_add(1);
+        data_got.Update([](uint32_t& n) { ++n; });
       }
     };
     return cb;
@@ -454,10 +530,8 @@ TEST(TransportTest, CreditWindowThrottlesToReceiverConsumption) {
   for (uint32_t i = 0; i < kFrames; ++i) {
     transports[0]->Send(1, FrameType::kData, std::vector<uint8_t>(1024, 0xcd));
   }
-  for (int spin = 0; spin < 5000 && data_got.load() < kFrames; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(data_got.load(), kFrames);  // credit throttles, it never loses
+  data_got.WaitUntil([&](uint32_t n) { return n == kFrames; });
+  EXPECT_EQ(data_got.Get(), kFrames);  // credit throttles, it never loses
   EXPECT_GT(transports[0]->credit_stalls(), 0u);
   EXPECT_GT(transports[1]->heartbeats_sent(), 0u);  // the grants actually flowed
   for (auto& t : transports) {
@@ -467,12 +541,13 @@ TEST(TransportTest, CreditWindowThrottlesToReceiverConsumption) {
 
 // Shed mode: when the bound is hit, data frames are dropped-and-counted instead of
 // blocking the producer — but progress frames are never shed, and the accounting closes:
-// every data frame either arrived or was counted shed.
+// every data frame either arrived or was counted shed. The sender thread is gated until
+// the producer is done, so the bound must be hit however fast the socket drains.
 TEST(TransportTest, ShedModeDropsOnlyDataAndCountsEveryDrop) {
   constexpr uint32_t kDataFrames = 200;
   constexpr uint32_t kProgressFrames = 20;
-  std::atomic<uint32_t> data_got{0};
-  std::atomic<uint32_t> progress_got{0};
+  Watched<FrameCounts> got;
+  SenderGate gate;
   std::vector<LinkPolicy> policies(2);
   policies[0].max_queue_bytes = 8 * 1024;
   policies[0].shed_data = true;
@@ -485,30 +560,28 @@ TEST(TransportTest, ShedModeDropsOnlyDataAndCountsEveryDrop) {
       }
       if (type == FrameType::kData) {
         std::this_thread::sleep_for(std::chrono::microseconds(500));
-        data_got.fetch_add(1);
+        got.Update([](FrameCounts& c) { ++c.data; });
       } else if (type == FrameType::kProgress) {
-        progress_got.fetch_add(1);
+        got.Update([](FrameCounts& c) { ++c.progress; });
       }
     };
     return cb;
   };
-  auto transports = StartMesh(policies, cb_fn);
+  auto transports = StartMesh(policies, cb_fn, &gate);
   for (uint32_t i = 0; i < kDataFrames; ++i) {
     transports[0]->Send(1, FrameType::kData, std::vector<uint8_t>(1024, 0xee));
     if (i % 10 == 0) {
       transports[0]->Send(1, FrameType::kProgress, std::vector<uint8_t>{7});
     }
   }
-  for (int spin = 0; spin < 5000; ++spin) {
-    if (data_got.load() + transports[0]->frames_shed() >= kDataFrames &&
-        progress_got.load() == kProgressFrames) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_GT(transports[0]->frames_shed(), 0u);  // overload was real and observable
-  EXPECT_EQ(data_got.load() + transports[0]->frames_shed(), kDataFrames);
-  EXPECT_EQ(progress_got.load(), kProgressFrames);  // progress is never shed
+  gate.Open();
+  const uint64_t shed = transports[0]->frames_shed();  // final: sheds happen in Send
+  got.WaitUntil([&](const FrameCounts& c) {
+    return c.data + shed >= kDataFrames && c.progress == kProgressFrames;
+  });
+  EXPECT_GT(shed, 0u);  // overload was real and observable
+  EXPECT_EQ(got.Get().data + shed, kDataFrames);
+  EXPECT_EQ(got.Get().progress, kProgressFrames);  // progress is never shed
   for (auto& t : transports) {
     t->Shutdown();
   }
@@ -586,8 +659,7 @@ class RecvHarness {
         return;
       }
       EXPECT_EQ(src, 0u);
-      std::lock_guard<std::mutex> lock(mu_);
-      got_.emplace_back(payload.begin(), payload.end());
+      got_.Update([&](Frames& g) { g.emplace_back(payload.begin(), payload.end()); });
     };
     transport_.Start({stub_port, my_port}, std::move(cb));
   }
@@ -621,29 +693,18 @@ class RecvHarness {
   }
 
   bool WaitForCount(size_t n) {
-    for (int spin = 0; spin < 3000; ++spin) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (got_.size() >= n) {
-          return got_.size() == n;
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-    return false;
+    got_.WaitUntil([&](const Frames& g) { return g.size() >= n; });
+    return got_.Get().size() == n;
   }
-  std::vector<std::vector<uint8_t>> Received() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return got_;
-  }
+  std::vector<std::vector<uint8_t>> Received() { return got_.Get(); }
   TcpTransport& transport() { return transport_; }
 
  private:
+  using Frames = std::vector<std::vector<uint8_t>>;
+  Watched<Frames> got_;  // before transport_: its receiver thread writes here
   Listener stub_;  // "process 0"'s listener; its connection from Start() is never used
   TcpTransport transport_;
   uint16_t port_ = 0;
-  std::mutex mu_;
-  std::vector<std::vector<uint8_t>> got_;
 };
 
 bool WaitFor(const std::function<bool()>& pred) {
