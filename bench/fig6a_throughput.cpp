@@ -8,6 +8,7 @@
 // 8-byte records is the worst case, as in the paper) and aggregate records/s grows with
 // the worker count.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <string_view>
@@ -103,13 +104,19 @@ double RawSocketGbps() {
   return static_cast<double>(received.load()) * 8 / secs / 1e9;
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
 }  // namespace
 }  // namespace naiad
 
 int main(int argc, char** argv) {
   using namespace naiad;
-  // --small: reduced scale for the CI perf-smoke job (record-only artifact).
-  // --reps=N: repetitions per config (best run reported); baseline recordings use more.
+  // --small: reduced scale and a single run per config, for the CI perf-smoke job.
+  // --reps=N: the least number of runs per config (default 3).
   bool small = false;
   int reps_flag = 0;
   for (int i = 1; i < argc; ++i) {
@@ -122,9 +129,11 @@ int main(int argc, char** argv) {
   }
   const uint64_t records_per_worker = small ? 10000 : 100000;
   const uint64_t rounds = small ? 5 : 20;
-  // Loopback throughput is scheduler-noisy; each config runs `reps` times and the best
-  // run is reported (the paper's cluster numbers are similarly best-case steady-state).
-  const int reps = reps_flag > 0 ? reps_flag : (small ? 1 : 3);
+  // One run lasts 0.05-0.3 s and loopback throughput is scheduler-noisy, so each config
+  // repeats until it has run for at least 1 s and at least `min_reps` times; a row reports
+  // the median run and the min/max spread.
+  const size_t min_reps = static_cast<size_t>(reps_flag > 0 ? reps_flag : (small ? 1 : 3));
+  const double min_seconds = small ? 0.0 : 1.0;
   const std::vector<uint32_t> proc_counts = small ? std::vector<uint32_t>{1u, 2u}
                                                   : std::vector<uint32_t>{1u, 2u, 4u};
   bench::Header("Fig. 6a", "all-to-all exchange throughput (§5.1)",
@@ -132,31 +141,38 @@ int main(int argc, char** argv) {
                 "raw-socket line because 8-byte records maximize serialization overhead");
   const double raw_gbps = RawSocketGbps();
   bench::Row("raw TCP socket baseline (loopback, 64KB writes): %.2f Gb/s", raw_gbps);
-  bench::Row("%-10s %-9s %-14s %-16s %-14s", "processes", "workers", "records/s",
-             "wire Gb/s", "seconds");
+  bench::Row("%-10s %-9s %-14s %-16s %-14s %s", "processes", "workers", "records/s",
+             "wire Gb/s", "seconds", "(medians; spread)");
   bench::JsonReport json("fig6a");
   json.Config("records_per_worker", static_cast<double>(records_per_worker));
   json.Config("rounds", static_cast<double>(rounds));
   json.Config("workers_per_process", 2);
   json.Config("raw_socket_gbps", raw_gbps);
+  json.Config("min_seconds_per_row", min_seconds);
   for (uint32_t procs : proc_counts) {
-    Result r = RunExchange(procs, 2, records_per_worker, rounds);
-    for (int rep = 1; rep < reps; ++rep) {
-      Result again = RunExchange(procs, 2, records_per_worker, rounds);
-      if (again.seconds < r.seconds) {
-        r = again;
-      }
+    std::vector<double> rps;
+    std::vector<double> gbps;
+    std::vector<double> secs;
+    Stopwatch row_sw;
+    while (rps.size() < min_reps || row_sw.ElapsedSeconds() < min_seconds) {
+      const Result r = RunExchange(procs, 2, records_per_worker, rounds);
+      rps.push_back(static_cast<double>(r.records_moved) / r.seconds);
+      gbps.push_back(static_cast<double>(r.wire_bytes) * 8 / r.seconds / 1e9);
+      secs.push_back(r.seconds);
     }
-    const double rps = static_cast<double>(r.records_moved) / r.seconds;
-    const double gbps = static_cast<double>(r.wire_bytes) * 8 / r.seconds / 1e9;
-    bench::Row("%-10u %-9u %-14.3e %-16.3f %-14.2f", procs, procs * 2, rps, gbps,
-               r.seconds);
+    const auto [min_rps, max_rps] = std::minmax_element(rps.begin(), rps.end());
+    bench::Row("%-10u %-9u %-14.3e %-16.3f %-14.2f %zu runs, %.3e-%.3e rec/s", procs,
+               procs * 2, Median(rps), Median(gbps), Median(secs), rps.size(), *min_rps,
+               *max_rps);
     json.NewRow();
     json.Num("processes", procs);
     json.Num("workers", procs * 2);
-    json.Num("records_per_sec", rps);
-    json.Num("wire_gbps", gbps);
-    json.Num("seconds", r.seconds);
+    json.Num("records_per_sec", Median(rps));
+    json.Num("records_per_sec_min", *min_rps);
+    json.Num("records_per_sec_max", *max_rps);
+    json.Num("runs", static_cast<double>(rps.size()));
+    json.Num("wire_gbps", Median(gbps));
+    json.Num("seconds", Median(secs));
   }
   json.Write();
   bench::Row("(single-process rows exchange through shared memory: wire Gb/s ~ 0)");

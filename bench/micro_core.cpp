@@ -170,12 +170,26 @@ class ResendBatchVertex final : public UnaryVertex<uint64_t, uint64_t> {
   }
 };
 
+// ResendBatchVertex's twin whose batches scatter: vertex v receives keys v, v+4, v+8, ...,
+// and `x >> 2` deals them round-robin over all four vertices of a parallelism-4 sink, so
+// SendBatch cannot move the batch whole and buckets it record by record.
+class ResendMixedBatchVertex final : public UnaryVertex<uint64_t, uint64_t> {
+ public:
+  void OnRecv(const Timestamp& t, std::vector<uint64_t>& batch) override {
+    for (uint64_t& x : batch) {
+      x >>= 2;
+    }
+    output().SendBatch(t, std::move(batch));
+  }
+};
+
 // Accumulates metrics across every obs-enabled harness run, for the JSON report.
 obs::SnapshotBuilder g_obs_builder;
 bool g_obs_any = false;
 
 // A one-worker pipeline input → resend (parallelism 4, hash exchange) → `sinks` ForEach
-// stages (fan-out when > 1), all exchanged by value.
+// stages (fan-out when > 1), all exchanged by value. The sinks have one vertex unless
+// `sink_parallelism` says otherwise.
 template <typename V>
 class ExchangeHarness {
  public:
@@ -194,7 +208,8 @@ class ExchangeHarness {
     return cfg;
   }
 
-  explicit ExchangeHarness(uint32_t sinks, bool with_obs = false)
+  explicit ExchangeHarness(uint32_t sinks, bool with_obs = false,
+                           uint32_t sink_parallelism = 0)
       : with_obs_(with_obs), ctl_(MakeConfig(with_obs)) {
     GraphBuilder b(ctl_);
     auto [in, handle] = NewInput<uint64_t>(b);
@@ -205,12 +220,16 @@ class ExchangeHarness {
                       [](uint32_t) { return std::make_unique<V>(); });
     b.Connect<V, uint64_t>(in, resend, 0, part);
     for (uint32_t s = 0; s < sinks; ++s) {
-      probe_ = ForEach<uint64_t>(
-          b.OutputOf<uint64_t>(resend),
-          [this](const Timestamp&, std::vector<uint64_t>& r) {
-            sunk_.fetch_add(r.size(), std::memory_order_relaxed);
-          },
-          part);
+      StageId sink = b.NewStage<ForEachVertex<uint64_t>>(
+          StageOptions{.name = "foreach", .parallelism = sink_parallelism}, [this](uint32_t) {
+            return std::make_unique<ForEachVertex<uint64_t>>(
+                [this](const Timestamp&, std::vector<uint64_t>& r) {
+                  sunk_.fetch_add(r.size(), std::memory_order_relaxed);
+                });
+          });
+      b.Connect<ForEachVertex<uint64_t>, uint64_t>(b.OutputOf<uint64_t>(resend), sink, 0,
+                                                   part);
+      probe_ = Probe(&ctl_, sink);
     }
     ctl_.Start();
   }
@@ -269,6 +288,19 @@ void BM_ExchangeSendBatch(benchmark::State& state) {
   benchmark::DoNotOptimize(h.sunk());
 }
 BENCHMARK(BM_ExchangeSendBatch)->Arg(8192)->UseRealTime();
+
+void BM_ExchangeSendBatchMixed(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  ExchangeHarness<ResendMixedBatchVertex> h(/*sinks=*/1, /*with_obs=*/false,
+                                            /*sink_parallelism=*/4);
+  for (auto _ : state) {
+    h.RunEpoch(EpochBatch(n));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+  benchmark::DoNotOptimize(h.sunk());
+}
+BENCHMARK(BM_ExchangeSendBatchMixed)->Arg(8192)->UseRealTime();
 
 // Columnar exchange: the resend stage repacks its input into ColumnBatch records via
 // ColumnWriter (src/ser/columns.h) and ships whole (keys[], vals[]) columns through the

@@ -325,7 +325,7 @@ class PageRankCsrVertex final
 };
 
 // CSR PageRank loop: identical wiring to PageRank(), but the feedback carries RankColumns
-// routed by the sender-computed `part` (DestVertex applies `part % parallelism`, a no-op).
+// routed by the sender-computed `part` (the outlet applies `part % parallelism`, a no-op).
 inline Stream<NodeRank> PageRankCsr(const Stream<Edge>& edges, uint64_t iters) {
   GraphBuilder& b = *edges.builder;
   LoopContext loop(b, edges.depth, "pagerank-csr");

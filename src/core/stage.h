@@ -3,8 +3,8 @@
 // A *stage* is a collection of identically-programmed vertices; a *stream* is one output
 // port of a stage, carrying records of one C++ type at one loop depth. Connecting a stream
 // to a stage input creates a connector, optionally with a partitioning function — the
-// system then routes each record to `Mix64(partition(rec)) % parallelism` (§3.1). Without a
-// partitioner, records stay on (or near) the sending worker.
+// system then routes each record to `partition(rec) % parallelism` (§3.1; no re-hashing, so
+// a partitioner that needs mixing applies it itself). Without one, records stay local.
 //
 // Vertices subclass one of the typed bases (UnaryVertex, BinaryVertex, Unary2Vertex,
 // SinkVertex), which expose the paper's OnRecv/OnNotify/SendBy/NotifyAt programming model
@@ -114,12 +114,12 @@ void Controller::RouteBundle(ConnectorId ch, uint32_t dst_vertex, const Timestam
 // ------------------------------------------------------------------------------------
 // Outlet: a vertex's typed output port with per-destination buffering (SendBy; §2.2).
 //
-// The routing buffers are flat per-route × per-destination arrays (no per-record ordered
-// lookup): since a callback overwhelmingly sends at a single (adjusted) timestamp, the
-// outlet keeps a single-entry timestamp cache and flushes everything on a cache miss
-// rather than keying buffers by time. Buffers reserve(batch_size) on first use, and
-// fan-out to multiple routes copies records for all routes but the last, which takes the
-// record by move.
+// The routing buffers are flat per-route × per-destination arrays. Since a callback
+// overwhelmingly sends at one (adjusted) timestamp, the outlet keeps a single-entry
+// timestamp cache and flushes everything on a miss rather than keying buffers by time.
+// Buffers reserve(batch_size) on first use; fan-out copies records into every route but
+// the last, which takes them by move. SendBatch moves a batch whole when a route sends all
+// of it to one destination with nothing buffered, and buckets it per record otherwise.
 // ------------------------------------------------------------------------------------
 
 template <typename T>
@@ -174,25 +174,20 @@ class Outlet {
       return;
     }
     CheckNotPast(t);
-    if (routes_.empty()) {
-      return;
-    }
-    // Fast path: a single non-partitioned route can forward the whole batch.
-    if (routes_.size() == 1 && routes_[0].partitioner == nullptr && buffered_ == 0) {
-      const uint32_t dstv = DestVertex(routes_[0], recs.front());
-      ctl_->RouteBundle<T>(routes_[0].ch, dstv, adj, std::move(recs),
-                           vertex_->worker().progress(), &vertex_->worker());
-      return;
-    }
-    SwitchTime(adj);
-    const uint32_t last = static_cast<uint32_t>(routes_.size()) - 1;
-    for (uint32_t i = 0; i < last; ++i) {
-      for (const T& rec : recs) {
-        Append(i, T(rec));
+    for (uint32_t i = 0; i < routes_.size(); ++i) {
+      // Per route: a moved bundle may re-enter this vertex (§3.2) and retarget the cache.
+      SwitchTime(adj);
+      const bool last = i + 1 == routes_.size();
+      const int64_t dstv = SoleDest(i, recs);
+      if (dstv >= 0 && bufs_[i].by_dst[dstv].empty()) {
+        ctl_->RouteBundle<T>(routes_[i].ch, static_cast<uint32_t>(dstv), adj,
+                             last ? std::move(recs) : std::vector<T>(recs),
+                             vertex_->worker().progress(), &vertex_->worker());
+      } else {
+        for (T& rec : recs) {
+          Append(i, last ? std::move(rec) : T(rec));  // copy for all routes but the last
+        }
       }
-    }
-    for (T& rec : recs) {
-      Append(last, std::move(rec));
     }
   }
 
@@ -218,6 +213,21 @@ class Outlet {
     const uint64_t key = (*r.partitioner)(rec);
     return rb.mask != 0 ? static_cast<uint32_t>(key & rb.mask)
                         : static_cast<uint32_t>(key % r.dst_parallelism);
+  }
+
+  // The one destination of every record in `recs` on a route, or -1; stops at a mismatch.
+  int64_t SoleDest(uint32_t route_idx, const std::vector<T>& recs) const {
+    const RouteBuffers& rb = bufs_[route_idx];
+    if (rb.const_dstv >= 0) {
+      return rb.const_dstv;
+    }
+    const uint32_t first = DestOf(rb, route_idx, recs.front());
+    for (const T& rec : recs) {
+      if (DestOf(rb, route_idx, rec) != first) {
+        return -1;
+      }
+    }
+    return first;
   }
 
   template <typename U>
@@ -346,16 +356,6 @@ class Outlet {
       NAIAD_DCHECK(Timestamp::PartialLeq(*now, t));  // §2.2: no sends into the past
     }
 #endif
-  }
-
-  uint32_t DestVertex(const Route& r, const T& rec) const {
-    if (r.partitioner != nullptr) {
-      // §3.1: "the system routes all messages that map to the same integer to the same
-      // downstream vertex". No re-hashing: partitioners that need mixing apply it
-      // themselves, and integer-addressed routing (e.g. AllReduce targets) stays exact.
-      return static_cast<uint32_t>((*r.partitioner)(rec) % r.dst_parallelism);
-    }
-    return vertex_->address().index % r.dst_parallelism;  // local-ish delivery (§3.1)
   }
 
   Controller* ctl_ = nullptr;

@@ -802,5 +802,236 @@ TEST(RuntimeTest, OutletFanoutCopiesOncePerExtraRouteAndMovesIntoLast) {
   EXPECT_EQ(CountedRec::copies.load(), kRecords);
 }
 
+// ------------------------------------------------------------------------------------
+// SendBatch routing: a batch whose records all map to one destination with nothing
+// buffered moves whole; every other batch is bucketed record by record.
+// ------------------------------------------------------------------------------------
+
+// Same as CountedForwardVertex, but forwards the batch with one SendBatch.
+class CountedBatchForwardVertex final : public UnaryVertex<CountedRec, CountedRec> {
+ public:
+  void OnRecv(const Timestamp& t, std::vector<CountedRec>& batch) override {
+    output().SendBatch(t, std::move(batch));
+  }
+};
+
+TEST(RuntimeTest, OutletBatchFanoutCopiesOncePerExtraRouteAndMovesIntoLast) {
+  Controller ctl(Config{.workers_per_process = 1});
+  GraphBuilder b(ctl);
+  auto [in, handle] = NewInput<CountedRec>(b);
+  StageId fwd = b.NewStage<CountedBatchForwardVertex>(
+      StageOptions{.name = "forward", .parallelism = 1},
+      [](uint32_t) { return std::make_unique<CountedBatchForwardVertex>(); });
+  b.Connect<CountedBatchForwardVertex, CountedRec>(
+      in, fwd, 0, [](const CountedRec& r) { return r.key; });
+  std::atomic<uint64_t> seen[2] = {};
+  for (int s = 0; s < 2; ++s) {
+    ForEach<CountedRec>(
+        b.OutputOf<CountedRec>(fwd),
+        [&, s](const Timestamp&, std::vector<CountedRec>& r) {
+          seen[s].fetch_add(r.size());
+        },
+        [](const CountedRec& rec) { return rec.key; });
+  }
+  ctl.Start();
+  constexpr uint64_t kRecords = 64;
+  std::vector<CountedRec> data;
+  data.reserve(kRecords);
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    data.emplace_back(i);
+  }
+  CountedRec::copies.store(0);
+  handle->OnNext(std::move(data));
+  handle->OnCompleted();
+  ctl.Join();
+  EXPECT_EQ(seen[0].load(), kRecords);
+  EXPECT_EQ(seen[1].load(), kRecords);
+  // Route 0 gets one copy of the batch, route 1 the batch itself.
+  EXPECT_EQ(CountedRec::copies.load(), kRecords);
+}
+
+// One bundle as a RecordingSink vertex saw it.
+struct SeenBundle {
+  uint32_t vertex = 0;
+  const CountedRec* data = nullptr;
+  std::vector<uint64_t> keys;
+};
+
+class RecordingSink final : public SinkVertex<CountedRec> {
+ public:
+  RecordingSink(uint32_t index, std::mutex* mu, std::vector<SeenBundle>* log)
+      : index_(index), mu_(mu), log_(log) {}
+  void OnRecv(const Timestamp&, std::vector<CountedRec>& batch) override {
+    SeenBundle seen{index_, batch.data(), {}};
+    for (const CountedRec& r : batch) {
+      seen.keys.push_back(r.key);
+    }
+    std::lock_guard<std::mutex> lock(*mu_);
+    log_->push_back(std::move(seen));
+  }
+
+ private:
+  uint32_t index_;
+  std::mutex* mu_;
+  std::vector<SeenBundle>* log_;
+};
+
+// On its one input record, Send()s `sends` one at a time and then SendBatch()es `batch`,
+// all at the input's time, and remembers where the batch's buffer lived.
+class BatchEmitVertex final : public UnaryVertex<uint64_t, CountedRec> {
+ public:
+  BatchEmitVertex(std::vector<uint64_t> sends, std::vector<uint64_t> batch,
+                  const CountedRec** sent)
+      : sends_(std::move(sends)), batch_(std::move(batch)), sent_(sent) {}
+  void OnRecv(const Timestamp& t, std::vector<uint64_t>&) override {
+    for (uint64_t k : sends_) {
+      output().Send(t, CountedRec(k));
+    }
+    std::vector<CountedRec> out;
+    for (uint64_t k : batch_) {
+      out.emplace_back(k);
+    }
+    *sent_ = out.data();
+    output().SendBatch(t, std::move(out));
+  }
+
+ private:
+  std::vector<uint64_t> sends_;
+  std::vector<uint64_t> batch_;
+  const CountedRec** sent_;
+};
+
+// One worker, batch_size 8: input → emit (parallelism 1) → RecordingSink (parallelism 4,
+// routed by key, so destination = key % 4). Returns the bundles in delivery order and the
+// record copies made after the input was handed over.
+struct EmitRun {
+  std::vector<SeenBundle> bundles;
+  const CountedRec* sent = nullptr;
+  uint64_t copies = 0;
+};
+
+EmitRun RunEmit(std::vector<uint64_t> sends, std::vector<uint64_t> batch) {
+  EmitRun run;
+  std::mutex mu;
+  Controller ctl(Config{.workers_per_process = 1, .batch_size = 8});
+  GraphBuilder b(ctl);
+  auto [in, handle] = NewInput<uint64_t>(b);
+  StageId emit = b.NewStage<BatchEmitVertex>(
+      StageOptions{.name = "emit", .parallelism = 1}, [&](uint32_t) {
+        return std::make_unique<BatchEmitVertex>(sends, batch, &run.sent);
+      });
+  b.Connect<BatchEmitVertex, uint64_t>(in, emit);
+  StageId sink = b.NewStage<RecordingSink>(
+      StageOptions{.name = "sink", .parallelism = 4}, [&](uint32_t index) {
+        return std::make_unique<RecordingSink>(index, &mu, &run.bundles);
+      });
+  b.Connect<RecordingSink, CountedRec>(b.OutputOf<CountedRec>(emit), sink, 0,
+                                       [](const CountedRec& r) { return r.key; });
+  ctl.Start();
+  CountedRec::copies.store(0);
+  handle->OnNext({0});
+  handle->OnCompleted();
+  ctl.Join();
+  run.copies = CountedRec::copies.load();
+  return run;
+}
+
+TEST(RuntimeTest, OutletMovesSingleDestinationBatchWhole) {
+  std::vector<uint64_t> batch;
+  for (uint64_t i = 0; i < 20; ++i) {
+    batch.push_back(4 * i + 2);  // all for vertex 2; larger than batch_size 8
+  }
+  EmitRun run = RunEmit({}, batch);
+  ASSERT_EQ(run.bundles.size(), 1u);
+  EXPECT_EQ(run.bundles[0].vertex, 2u);
+  EXPECT_EQ(run.bundles[0].data, run.sent);  // the very buffer that was sent
+  EXPECT_EQ(run.bundles[0].keys, batch);
+  EXPECT_EQ(run.copies, 0u);
+}
+
+TEST(RuntimeTest, OutletBatchAfterBufferedSendsKeepsSendOrder) {
+  // Vertex 2 already buffers two Send()s at the batch's time, so the batch cannot move
+  // ahead of them: it is appended behind them instead.
+  EmitRun run = RunEmit({2, 6}, {10, 14, 18});
+  std::vector<uint64_t> at2;
+  for (const SeenBundle& seen : run.bundles) {
+    EXPECT_EQ(seen.vertex, 2u);
+    at2.insert(at2.end(), seen.keys.begin(), seen.keys.end());
+  }
+  EXPECT_EQ(at2, (std::vector<uint64_t>{2, 6, 10, 14, 18}));
+}
+
+TEST(RuntimeTest, OutletMixedBatchKeepsPerDestinationOrderAndBatchSize) {
+  constexpr uint64_t kRecords = 50;
+  std::vector<uint64_t> batch;
+  for (uint64_t i = 0; i < kRecords; ++i) {
+    batch.push_back(i);
+  }
+  EmitRun run = RunEmit({}, batch);
+  std::map<uint32_t, std::vector<uint64_t>> per_vertex;
+  for (const SeenBundle& seen : run.bundles) {
+    EXPECT_LE(seen.keys.size(), 8u);
+    per_vertex[seen.vertex].insert(per_vertex[seen.vertex].end(), seen.keys.begin(),
+                                   seen.keys.end());
+  }
+  ASSERT_EQ(per_vertex.size(), 4u);
+  for (const auto& [vertex, keys] : per_vertex) {
+    std::vector<uint64_t> expect;
+    for (uint64_t k = vertex; k < kRecords; k += 4) {
+      expect.push_back(k);
+    }
+    EXPECT_EQ(keys, expect) << "vertex " << vertex;
+  }
+}
+
+// Counts what arrives per loop counter, then forwards the batch whole.
+class IterationCountVertex final : public UnaryVertex<uint64_t, uint64_t> {
+ public:
+  IterationCountVertex(std::mutex* mu, std::map<uint64_t, size_t>* per_iter)
+      : mu_(mu), per_iter_(per_iter) {}
+  void OnRecv(const Timestamp& t, std::vector<uint64_t>& batch) override {
+    {
+      std::lock_guard<std::mutex> lock(*mu_);
+      (*per_iter_)[t.coords.back()] += batch.size();
+    }
+    output().SendBatch(t, std::move(batch));
+  }
+
+ private:
+  std::mutex* mu_;
+  std::map<uint64_t, size_t>* per_iter_;
+};
+
+TEST(RuntimeTest, OutletFeedbackLimitDropsABatchThatWouldMoveWhole) {
+  constexpr uint64_t kLimit = 3;
+  std::mutex mu;
+  std::map<uint64_t, size_t> per_iter;
+  Controller ctl(Config{.workers_per_process = 1, .batch_size = 8});
+  GraphBuilder b(ctl);
+  auto [in, handle] = NewInput<uint64_t>(b);
+  LoopContext loop(b, 0);
+  FeedbackHandle<uint64_t> fb = loop.NewFeedback<uint64_t>(kLimit);
+  Stream<uint64_t> entered = loop.Ingress<uint64_t>(in);
+  StageId body = b.NewStage<IterationCountVertex>(
+      StageOptions{.name = "count", .depth = 1, .parallelism = 1}, [&](uint32_t) {
+        return std::make_unique<IterationCountVertex>(&mu, &per_iter);
+      });
+  b.Connect<IterationCountVertex, uint64_t>(entered, body);
+  b.Connect<IterationCountVertex, uint64_t>(fb.stream(), body);
+  // One feedback vertex: every batch it forwards has a single destination.
+  fb.ConnectLoop(b.OutputOf<uint64_t>(body));
+  ctl.Start();
+  std::vector<uint64_t> data(20);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = i;
+  }
+  handle->OnNext(std::move(data));
+  handle->OnCompleted();
+  ctl.Join();
+  std::lock_guard<std::mutex> lock(mu);
+  // Loop counters 0..kLimit-1 see every record; the batch at kLimit is dropped.
+  EXPECT_EQ(per_iter, (std::map<uint64_t, size_t>{{0, 20}, {1, 20}, {2, 20}}));
+}
+
 }  // namespace
 }  // namespace naiad

@@ -2,9 +2,10 @@
 """Diffs two run labels inside a BENCH_<figure>.json perf trajectory file.
 
 Matches rows between a fresh run and a baseline run by identity fields
-(``name`` for google-benchmark rows, ``kind``+``variant`` for the figure
-drivers) and compares ``records_per_sec``. A row regresses when the fresh
-throughput falls below ``baseline * (1 - threshold)``.
+(``name`` for google-benchmark rows; ``kind``, ``variant``, ``procs`` or
+``processes`` and the like for the figure drivers) and compares
+``records_per_sec``. A row regresses when the fresh throughput falls below
+``baseline * (1 - threshold)``.
 
 The CI perf-smoke job runs this record-only: regressions print WARN and the
 exit code stays 0 unless --strict is given, because a one-core CI runner is
@@ -25,7 +26,7 @@ def row_key(row):
     if "name" in row:
         return ("name", row["name"])
     parts = [row.get("kind", "?")]
-    for field in ("variant", "procs", "cluster_edges", "metric"):
+    for field in ("variant", "procs", "processes", "cluster_edges", "metric"):
         if field in row:
             parts.append(f"{field}={row[field]}")
     return ("kv", "/".join(str(p) for p in parts))
