@@ -2,10 +2,10 @@
 
 #include "src/net/job_server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "src/base/event_count.h"
 #include "src/base/stopwatch.h"
@@ -19,11 +19,6 @@ namespace {
 // followed by WakeWaiters) and notified on cv_, so barrier waits use kIdleBackstop or their
 // deadline only as a backstop.
 //
-// Pacing between quiet-point rounds that came back not quiet: the resumed workers absorb
-// the traffic still in flight before the next round pauses them again. Not a wait for any
-// event; a shorter gap only spends more control-frame round trips per barrier.
-constexpr auto kRoundPacing = std::chrono::microseconds(200);
-
 // Stall-barrier patience: a survivor that cannot reach the quiet cut in this window
 // (e.g. a peer that already finished and never joins the barrier) resumes and falls back
 // to coordinated restart. The seed exchange gets longer — by then every process has
@@ -34,28 +29,40 @@ constexpr auto kSeedTimeout = std::chrono::seconds(30);
 
 }  // namespace
 
-ClusterControl::TrafficCounters ClusterControl::SnapshotCounters() const {
-  TrafficCounters c;
-  if (traffic_ != nullptr) {
-    // Job-server mode: only this job's wire traffic feeds the stability check, so another
-    // job's concurrent chatter cannot keep this barrier from stabilizing (and a quiet job
-    // cannot be declared stable while its own frames are still in flight).
-    const auto sent = [&](FrameType t) {
-      return traffic_->frames_sent[static_cast<size_t>(t)].load(std::memory_order_relaxed);
-    };
-    const auto recv = [&](FrameType t) {
-      return traffic_->frames_received[static_cast<size_t>(t)].load(
-          std::memory_order_relaxed);
-    };
-    c.v = {sent(FrameType::kData),        recv(FrameType::kData),
-           sent(FrameType::kProgress),    recv(FrameType::kProgress),
-           sent(FrameType::kProgressAcc), recv(FrameType::kProgressAcc)};
-    return c;
+std::vector<uint64_t> ClusterControl::SnapshotCounters() const {
+  // Job-server mode: only this job's wire traffic feeds the stability check, so another
+  // job's concurrent chatter cannot keep this barrier from stabilizing (and a quiet job
+  // cannot be declared stable while its own frames are still in flight).
+  const auto sent = [&](FrameType t) {
+    return traffic_ != nullptr
+               ? traffic_->frames_sent[static_cast<size_t>(t)].load(std::memory_order_relaxed)
+               : transport_->frames_sent(t);
+  };
+  const auto recv = [&](FrameType t) {
+    return traffic_ != nullptr ? traffic_->frames_received[static_cast<size_t>(t)].load(
+                                     std::memory_order_relaxed)
+                               : transport_->frames_received(t);
+  };
+  return {sent(FrameType::kData),        recv(FrameType::kData),
+          sent(FrameType::kProgress),    recv(FrameType::kProgress),
+          sent(FrameType::kProgressAcc), recv(FrameType::kProgressAcc)};
+}
+
+std::vector<uint64_t> ClusterControl::SnapshotLinkCounters() const {
+  const uint32_t n = transport_->processes();
+  std::vector<uint64_t> c(static_cast<size_t>(n) * 6, 0);
+  for (uint32_t q = 0; q < n; ++q) {
+    if (q == transport_->process_id()) {
+      continue;  // self-sends never cross the wire and are not in the per-link counters
+    }
+    const size_t base = static_cast<size_t>(q) * 6;
+    c[base + 0] = transport_->frames_sent_to(q, FrameType::kData);
+    c[base + 1] = transport_->frames_received_from(q, FrameType::kData);
+    c[base + 2] = transport_->frames_sent_to(q, FrameType::kProgress);
+    c[base + 3] = transport_->frames_received_from(q, FrameType::kProgress);
+    c[base + 4] = transport_->frames_sent_to(q, FrameType::kProgressAcc);
+    c[base + 5] = transport_->frames_received_from(q, FrameType::kProgressAcc);
   }
-  const TcpTransport& t = *transport_;
-  c.v = {t.frames_sent(FrameType::kData),        t.frames_received(FrameType::kData),
-         t.frames_sent(FrameType::kProgress),    t.frames_received(FrameType::kProgress),
-         t.frames_sent(FrameType::kProgressAcc), t.frames_received(FrameType::kProgressAcc)};
   return c;
 }
 
@@ -63,36 +70,20 @@ void ClusterControl::HandleControl(uint32_t src, std::span<const uint8_t> payloa
   ByteReader r(payload);
   const uint8_t kind = r.ReadU8();
   switch (kind) {
-    case kCtlVerdict: {
-      const uint64_t round = r.ReadU64();
-      const bool ok = r.ReadU8() != 0;
-      NAIAD_CHECK(r.ok());
+    case kCtlQuietReport:
+      HandleQuietReport(src, r);
+      return;
+    case kCtlQuietVerdict: {
+      const uint8_t quiet_kind = r.ReadU8();
+      Verdict v;
+      v.have = true;
+      v.key = r.ReadU64();
+      v.round = r.ReadU64();
+      v.ok = r.ReadU8() != 0;
+      NAIAD_CHECK(r.ok() && quiet_kind < verdicts_.size());
       {
         std::lock_guard<std::mutex> lock(mu_);
-        term_verdict_round_ = round;
-        term_verdict_ok_ = ok;
-        term_have_verdict_ = true;
-      }
-      cv_.notify_all();
-      return;
-    }
-    case kCtlReport:
-      HandleTerminationReport(src, r);
-      return;
-    case kCtlCkptReport:
-      HandleCheckpointReport(src, r);
-      return;
-    case kCtlCkptVerdict: {
-      const uint64_t epoch = r.ReadU64();
-      const uint64_t round = r.ReadU64();
-      const bool ok = r.ReadU8() != 0;
-      NAIAD_CHECK(r.ok());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ckpt_verdict_epoch_ = epoch;
-        ckpt_verdict_round_ = round;
-        ckpt_verdict_ok_ = ok;
-        ckpt_have_verdict_ = true;
+        verdicts_[quiet_kind] = v;
       }
       cv_.notify_all();
       return;
@@ -123,9 +114,9 @@ void ClusterControl::HandleControl(uint32_t src, std::span<const uint8_t> payloa
       NAIAD_CHECK(r.ok());
       {
         std::lock_guard<std::mutex> lock(mu_);
-        ckpt_commit_epoch_ = epoch;
-        ckpt_commit_ok_ = ok;
-        ckpt_have_commit_ = true;
+        commit_.have = true;
+        commit_.key = epoch;
+        commit_.ok = ok;
       }
       cv_.notify_all();
       return;
@@ -160,22 +151,6 @@ void ClusterControl::HandleControl(uint32_t src, std::span<const uint8_t> payloa
     case kCtlStallAbort: {
       stall_aborted_.store(true, std::memory_order_release);
       WakeWaiters();
-      return;
-    }
-    case kCtlStallReport:
-      HandleStallReport(src, r);
-      return;
-    case kCtlStallVerdict: {
-      const uint64_t round = r.ReadU64();
-      const bool ok = r.ReadU8() != 0;
-      NAIAD_CHECK(r.ok());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stall_verdict_round_ = round;
-        stall_verdict_ok_ = ok;
-        stall_have_verdict_ = true;
-      }
-      cv_.notify_all();
       return;
     }
     case kCtlSeedState: {
@@ -213,113 +188,105 @@ void ClusterControl::HandleControl(uint32_t src, std::span<const uint8_t> payloa
   }
 }
 
-void ClusterControl::HandleTerminationReport(uint32_t src, ByteReader& r) {
-  NAIAD_CHECK(transport_->process_id() == 0);  // reports only go to process 0
-  Report rep;
-  rep.round = r.ReadU64();
-  rep.quiet = r.ReadU8() != 0;
-  for (uint64_t& c : rep.counters.v) {
-    c = r.ReadU64();
+bool ClusterControl::QuietVerdict(QuietKind kind, uint64_t key,
+                                  const std::vector<QuietReport>& cur,
+                                  const std::vector<QuietReport>& prev) {
+  const uint32_t n = static_cast<uint32_t>(cur.size());
+  const auto participant = [&](uint32_t p) {
+    return kind != QuietKind::kStall || p != key;  // the stall victim never reports
+  };
+  for (uint32_t p = 0; p < n; ++p) {
+    if (participant(p) && (!cur[p].quiet || !prev[p].valid ||
+                           cur[p].counters != prev[p].counters)) {
+      return false;  // not quiet, or not stable since the previous round
+    }
   }
-  rep.valid = true;
-  NAIAD_CHECK(r.ok());
-
-  std::vector<uint8_t> verdict_payload;
-  {
-    std::lock_guard<std::mutex> lock(coord_mu_);
-    const uint32_t n = transport_->processes();
-    term_reports_.resize(n);
-    term_prev_reports_.resize(n);
-    term_reports_[src] = rep;
-    for (const Report& existing : term_reports_) {
-      if (!existing.valid || existing.round != term_round_) {
-        return;
+  switch (kind) {
+    case QuietKind::kTermination:
+      // Deliberately unbalanced: strays that arrive after the verdict are the job
+      // server's to drop (DESIGN.md, "Stash and stray discipline").
+      return true;
+    case QuietKind::kCheckpoint: {
+      // No frame in flight anywhere: cluster-wide sent == received per frame type
+      // (barrier control traffic is deliberately not counted).
+      std::array<uint64_t, 6> sums = {};
+      for (const QuietReport& rep : cur) {
+        for (size_t i = 0; i < sums.size(); ++i) {
+          sums[i] += rep.counters[i];
+        }
       }
+      return sums[0] == sums[1] && sums[2] == sums[3] && sums[4] == sums[5];
     }
-    bool ok = true;
-    for (uint32_t p = 0; p < n; ++p) {
-      const Report& cur = term_reports_[p];
-      const Report& prev = term_prev_reports_[p];
-      if (!cur.quiet || !prev.valid || !(cur.counters == prev.counters)) {
-        ok = false;
-        break;
+    case QuietKind::kStall:
+      // Per surviving pair, per frame type, i's sent-to-j equals j's received-from-i, so
+      // no frame between survivors is in flight. Frames sent toward the victim died with
+      // it; the outbound logs re-materialize them for the replacement.
+      for (uint32_t i = 0; i < n; ++i) {
+        for (uint32_t j = 0; j < n; ++j) {
+          if (i == j || !participant(i) || !participant(j)) {
+            continue;
+          }
+          for (uint32_t t = 0; t < 3; ++t) {
+            if (cur[i].counters[j * 6 + 2 * t] != cur[j].counters[i * 6 + 2 * t + 1]) {
+              return false;
+            }
+          }
+        }
       }
-    }
-    term_prev_reports_ = term_reports_;
-    for (Report& existing : term_reports_) {
-      existing.valid = false;
-    }
-    ByteWriter w(&verdict_payload);
-    w.WriteU8(kCtlVerdict);
-    w.WriteU64(term_round_);
-    w.WriteU8(ok ? 1 : 0);
-    ++term_round_;
+      return true;
   }
-  transport_->BroadcastFrame(FrameType::kControl, verdict_payload, /*include_self=*/true,
-                             job_);
+  return false;
 }
 
-void ClusterControl::HandleCheckpointReport(uint32_t src, ByteReader& r) {
-  NAIAD_CHECK(transport_->process_id() == 0);
-  const uint64_t epoch = r.ReadU64();
-  Report rep;
+void ClusterControl::HandleQuietReport(uint32_t src, ByteReader& r) {
+  const uint8_t kind = r.ReadU8();
+  const uint64_t key = r.ReadU64();
+  QuietReport rep;
   rep.round = r.ReadU64();
   rep.quiet = r.ReadU8() != 0;
-  for (uint64_t& c : rep.counters.v) {
+  rep.valid = true;
+  const uint32_t n = transport_->processes();
+  const uint32_t count = r.ReadU32();
+  NAIAD_CHECK(r.ok() && kind < tables_.size());
+  const QuietKind quiet_kind = static_cast<QuietKind>(kind);
+  // The verdict indexes counters by kind: 6 per process, or 6 per peer for the stall.
+  NAIAD_CHECK(count == (quiet_kind == QuietKind::kStall ? n * 6 : 6));
+  rep.counters.resize(count);
+  for (uint64_t& c : rep.counters) {
     c = r.ReadU64();
   }
-  rep.valid = true;
   NAIAD_CHECK(r.ok());
+  const uint32_t victim =
+      quiet_kind == QuietKind::kStall ? static_cast<uint32_t>(key) : kNoVictim;
+  NAIAD_CHECK(transport_->process_id() == (victim == 0 ? 1u : 0u));  // lowest participant
 
   std::vector<uint8_t> verdict_payload;
   {
     std::lock_guard<std::mutex> lock(coord_mu_);
-    const uint32_t n = transport_->processes();
-    if (epoch != ckpt_epoch_) {  // new barrier: rounds restart per checkpoint epoch
-      ckpt_epoch_ = epoch;
-      ckpt_reports_.assign(n, Report{});
-      ckpt_prev_reports_.assign(n, Report{});
+    QuietTable& table = tables_[kind];
+    if (key != table.key) {  // new barrier: rounds restart per key
+      table.key = key;
+      table.cur.assign(n, QuietReport{});
+      table.prev.assign(n, QuietReport{});
     }
-    ckpt_reports_[src] = rep;
-    for (const Report& existing : ckpt_reports_) {
-      if (!existing.valid || existing.round != rep.round) {
-        return;
-      }
-    }
-    // Quiet verdict: everyone locally quiet, nothing happened since the previous round
-    // (two-round stability), and no frame in flight anywhere (cluster-wide sent ==
-    // received per frame type; barrier control traffic is deliberately not counted).
-    bool ok = true;
+    table.cur[src] = std::move(rep);
     for (uint32_t p = 0; p < n; ++p) {
-      const Report& cur = ckpt_reports_[p];
-      const Report& prev = ckpt_prev_reports_[p];
-      if (!cur.quiet || !prev.valid || !(cur.counters == prev.counters)) {
-        ok = false;
-        break;
+      const QuietReport& rep_p = table.cur[p];
+      if (p != victim && (!rep_p.valid || rep_p.round != table.cur[src].round)) {
+        return;  // the round is not complete yet
       }
     }
-    if (ok) {
-      std::array<uint64_t, 6> sums = {};
-      for (uint32_t p = 0; p < n; ++p) {
-        for (size_t i = 0; i < sums.size(); ++i) {
-          sums[i] += ckpt_reports_[p].counters.v[i];
-        }
-      }
-      for (size_t i = 0; i < sums.size(); i += 2) {
-        if (sums[i] != sums[i + 1]) {
-          ok = false;
-          break;
-        }
-      }
-    }
-    ckpt_prev_reports_ = ckpt_reports_;
-    for (Report& existing : ckpt_reports_) {
+    const bool ok = QuietVerdict(quiet_kind, key, table.cur, table.prev);
+    const uint64_t round = table.cur[src].round;
+    table.prev = table.cur;
+    for (QuietReport& existing : table.cur) {
       existing.valid = false;
     }
     ByteWriter w(&verdict_payload);
-    w.WriteU8(kCtlCkptVerdict);
-    w.WriteU64(epoch);
-    w.WriteU64(rep.round);
+    w.WriteU8(kCtlQuietVerdict);
+    w.WriteU8(kind);
+    w.WriteU64(key);
+    w.WriteU64(round);
     w.WriteU8(ok ? 1 : 0);
   }
   transport_->BroadcastFrame(FrameType::kControl, verdict_payload, /*include_self=*/true,
@@ -408,103 +375,6 @@ void ClusterControl::WakeWaiters() {
   ctl_->event().NotifyAll();
 }
 
-ClusterControl::LinkCounters ClusterControl::SnapshotLinkCounters() const {
-  const uint32_t n = transport_->processes();
-  LinkCounters c;
-  c.v.assign(static_cast<size_t>(n) * 6, 0);
-  for (uint32_t q = 0; q < n; ++q) {
-    if (q == transport_->process_id()) {
-      continue;  // self-sends never cross the wire and are not in the per-link counters
-    }
-    const size_t base = static_cast<size_t>(q) * 6;
-    c.v[base + 0] = transport_->frames_sent_to(q, FrameType::kData);
-    c.v[base + 1] = transport_->frames_received_from(q, FrameType::kData);
-    c.v[base + 2] = transport_->frames_sent_to(q, FrameType::kProgress);
-    c.v[base + 3] = transport_->frames_received_from(q, FrameType::kProgress);
-    c.v[base + 4] = transport_->frames_sent_to(q, FrameType::kProgressAcc);
-    c.v[base + 5] = transport_->frames_received_from(q, FrameType::kProgressAcc);
-  }
-  return c;
-}
-
-void ClusterControl::HandleStallReport(uint32_t src, ByteReader& r) {
-  const uint32_t victim = r.ReadU32();
-  StallReport rep;
-  rep.round = r.ReadU64();
-  rep.quiet = r.ReadU8() != 0;
-  const uint32_t n = transport_->processes();
-  NAIAD_CHECK(transport_->process_id() == (victim == 0 ? 1u : 0u));
-  rep.counters.v.resize(static_cast<size_t>(n) * 6);
-  for (uint64_t& c : rep.counters.v) {
-    c = r.ReadU64();
-  }
-  rep.valid = true;
-  NAIAD_CHECK(r.ok());
-
-  std::vector<uint8_t> verdict_payload;
-  {
-    std::lock_guard<std::mutex> lock(coord_mu_);
-    if (victim != stall_victim_) {  // first report arms the tables for this victim
-      stall_victim_ = victim;
-      stall_reports_.assign(n, StallReport{});
-      stall_prev_reports_.assign(n, StallReport{});
-    }
-    stall_reports_[src] = rep;
-    for (uint32_t p = 0; p < n; ++p) {
-      if (p == victim) {
-        continue;  // the dead slot never reports
-      }
-      if (!stall_reports_[p].valid || stall_reports_[p].round != rep.round) {
-        return;
-      }
-    }
-    // Quiet cut among the survivors: everyone locally quiet (workers parked, inboxes and
-    // accumulators empty, the victim's receive link drained to EOF), two-round counter
-    // stability, and — per surviving pair, per frame type — i's sent-to-j equals j's
-    // received-from-i, so no frame between survivors is in flight. Frames sent toward the
-    // victim are deliberately unconstrained: they died with it, and the outbound logs are
-    // what re-materializes them for the replacement.
-    bool ok = true;
-    for (uint32_t p = 0; p < n && ok; ++p) {
-      if (p == victim) {
-        continue;
-      }
-      const StallReport& cur = stall_reports_[p];
-      const StallReport& prev = stall_prev_reports_[p];
-      if (!cur.quiet || !prev.valid || !(cur.counters == prev.counters)) {
-        ok = false;
-      }
-    }
-    if (ok) {
-      for (uint32_t i = 0; i < n && ok; ++i) {
-        for (uint32_t j = 0; j < n && ok; ++j) {
-          if (i == j || i == victim || j == victim) {
-            continue;
-          }
-          for (uint32_t t = 0; t < 3; ++t) {
-            const uint64_t sent = stall_reports_[i].counters.v[j * 6 + 2 * t];
-            const uint64_t recv = stall_reports_[j].counters.v[i * 6 + 2 * t + 1];
-            if (sent != recv) {
-              ok = false;
-              break;
-            }
-          }
-        }
-      }
-    }
-    stall_prev_reports_ = stall_reports_;
-    for (StallReport& existing : stall_reports_) {
-      existing.valid = false;
-    }
-    ByteWriter w(&verdict_payload);
-    w.WriteU8(kCtlStallVerdict);
-    w.WriteU64(rep.round);
-    w.WriteU8(ok ? 1 : 0);
-  }
-  transport_->BroadcastFrame(FrameType::kControl, verdict_payload, /*include_self=*/true,
-                             job_);
-}
-
 void ClusterControl::AbortSelectiveStall() {
   stall_aborted_.store(true, std::memory_order_release);
   WakeWaiters();
@@ -514,64 +384,125 @@ void ClusterControl::AbortSelectiveStall() {
   transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/false, job_);
 }
 
-bool ClusterControl::RunStallBarrier(uint32_t victim) {
+bool ClusterControl::Await(const std::function<bool()>& done,
+                           const std::function<bool()>& stop, Deadline deadline) {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    if (done()) {
+      return true;
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (stop() || now >= deadline) {
+      return false;
+    }
+    cv_.wait_until(lock, std::min(deadline, now + kIdleBackstop));
+  }
+}
+
+bool ClusterControl::RunQuietRounds(QuietKind kind, uint64_t key,
+                                    const std::function<bool()>& quiet) {
   const uint64_t t0 = obs::MonotonicNs();
-  const auto deadline = std::chrono::steady_clock::now() + kStallTimeout;
-  const uint32_t coordinator = victim == 0 ? 1 : 0;  // lowest survivor
+  const size_t k = static_cast<size_t>(kind);
+  // Termination's cut is a drained tracker, reached without stopping anyone; the others
+  // pause and drain the workers, and resume them after a round that was not quiet.
+  const bool pauses = kind != QuietKind::kTermination;
+  const uint32_t victim =
+      kind == QuietKind::kStall ? static_cast<uint32_t>(key) : kNoVictim;
+  // The stall barrier runs while recovery is already requested; only an abort (or its
+  // deadline) ends it. The others end on a recovery request.
+  const auto stopped = [&] {
+    return kind == QuietKind::kStall ? stall_aborted() : recovery_requested();
+  };
+  const Deadline deadline = kind == QuietKind::kStall
+                                ? std::chrono::steady_clock::now() + kStallTimeout
+                                : Deadline::max();
   bool ok = false;
   uint64_t rounds = 0;
-  for (uint64_t round = 0; !stall_aborted(); ++round) {
-    ++rounds;
-    ctl_->PauseAndDrain();
-    router_->FlushAll();
-    const LinkCounters counters = SnapshotLinkCounters();
-    const bool quiet = ctl_->InboxesEmpty() && router_->Empty() &&
-                       transport_->RecvLinkDrained(victim);
-    std::vector<uint8_t> payload;
-    ByteWriter w(&payload);
-    w.WriteU8(kCtlStallReport);
-    w.WriteU32(victim);
-    w.WriteU64(round);
-    w.WriteU8(quiet ? 1 : 0);
-    for (uint64_t c : counters.v) {
-      w.WriteU64(c);
-    }
-    transport_->Send(coordinator, FrameType::kControl, std::move(payload), job_);
-    bool got = false;
-    bool verdict = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        if (stall_have_verdict_ && stall_verdict_round_ == round) {
-          verdict = stall_verdict_ok_;
-          stall_have_verdict_ = false;
-          got = true;
-          break;
-        }
-        if (stall_aborted() || std::chrono::steady_clock::now() >= deadline) {
-          break;
-        }
-        cv_.wait_until(lock, deadline);
+  for (uint64_t round = 0; !stopped() && std::chrono::steady_clock::now() < deadline;
+       ++round) {
+    if (pauses) {
+      ctl_->PauseAndDrain();
+    } else {
+      ctl_->tracker().WaitDrained(stopped);
+      if (stopped()) {
+        break;
       }
     }
+    ++rounds;
+    // Let the accumulators drain anything still held, then snapshot counters BEFORE
+    // probing local quiet: receivers count a frame only after dispatching it, so every
+    // frame in this snapshot is already visible to the probe, and a frame missing from it
+    // trips the stability or balance check.
+    router_->FlushAll();
+    const std::vector<uint64_t> counters =
+        kind == QuietKind::kStall ? SnapshotLinkCounters() : SnapshotCounters();
+    std::vector<uint8_t> payload;
+    ByteWriter w(&payload);
+    w.WriteU8(kCtlQuietReport);
+    w.WriteU8(static_cast<uint8_t>(kind));
+    w.WriteU64(key);
+    w.WriteU64(round);
+    w.WriteU8(quiet() ? 1 : 0);
+    w.WriteU32(static_cast<uint32_t>(counters.size()));
+    for (uint64_t c : counters) {
+      w.WriteU64(c);
+    }
+    transport_->Send(victim == 0 ? 1 : 0, FrameType::kControl, std::move(payload), job_);
+    bool verdict = false;
+    const bool got = Await(
+        [&] {
+          Verdict& v = verdicts_[k];
+          if (!v.have || v.key != key || v.round != round) {
+            return false;
+          }
+          verdict = v.ok;
+          v.have = false;
+          return true;
+        },
+        stopped, deadline);
     if (got && verdict) {
-      ok = true;  // workers stay paused: the caller captures its image at this cut
+      ok = true;  // a pausing kind leaves the workers paused at the cut
       break;
     }
-    ctl_->Resume();
-    if (!got || std::chrono::steady_clock::now() >= deadline) {
+    // Not quiet yet: the next round's own PauseAndDrain lets the workers absorb whatever
+    // was still in flight.
+    if (pauses) {
+      ctl_->Resume();
+    }
+    if (!got) {
       break;
     }
-    std::this_thread::sleep_for(kRoundPacing);
   }
-  ctl_->obs().tracer().ControlSpan(obs::TraceKind::kSelectiveStall, t0,
-                                   obs::MonotonicNs(), victim, rounds, ok ? 1 : 0);
+  if (obs::ProcessMetrics* pm = ctl_->obs().metrics().process()) {
+    pm->barrier_rounds.fetch_add(rounds, std::memory_order_relaxed);
+  }
+  static constexpr obs::TraceKind kSpan[] = {obs::TraceKind::kTerminationBarrier,
+                                             obs::TraceKind::kClusterCheckpoint,
+                                             obs::TraceKind::kSelectiveStall};
+  ctl_->obs().tracer().ControlSpan(kSpan[k], t0, obs::MonotonicNs(), key, rounds,
+                                   ok ? 1 : 0);
+  return ok;
+}
+
+bool ClusterControl::RunStallBarrier(uint32_t victim) {
+  return RunQuietRounds(QuietKind::kStall, victim, [&] {
+    return ctl_->InboxesEmpty() && router_->Empty() && transport_->RecvLinkDrained(victim);
+  });
+}
+
+bool ClusterControl::RunTerminationBarrier() {
+  const bool ok =
+      RunQuietRounds(QuietKind::kTermination, 0, [&] { return ctl_->tracker().Empty(); });
+  if (ok) {
+    Finish();
+  }
   return ok;
 }
 
 bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
   const uint32_t n = transport_->processes();
-  const auto deadline = std::chrono::steady_clock::now() + kSeedTimeout;
+  const Deadline deadline = std::chrono::steady_clock::now() + kSeedTimeout;
+  const auto never = [] { return false; };
   {
     std::vector<uint8_t> payload;
     ByteWriter w(&payload);
@@ -580,22 +511,12 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
     w.WriteBytes(encoded.data(), encoded.size());
     transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true, job_);
   }
-  auto wait_until = [&](auto pred) {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (!pred()) {
-      if (std::chrono::steady_clock::now() >= deadline) {
-        return false;
-      }
-      cv_.wait_until(lock, deadline);
-    }
-    return true;
-  };
   // Hold the full cut before acking; resume only after everyone does. The release is the
   // ordering root: any −delta a process emits after its release is preceded — at every
   // other process, by the ack/release chain — by all n seed contributions, so the seeded
   // could-result-in ancestors dominate exactly as the symmetric start seeds do in a
   // normal boot.
-  if (!wait_until([&] { return seed_frames_ >= n; })) {
+  if (!Await([&] { return seed_frames_ >= n; }, never, deadline)) {
     return false;
   }
   {
@@ -605,7 +526,7 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
     transport_->Send(0, FrameType::kControl, std::move(payload), job_);
   }
   if (transport_->process_id() == 0) {
-    if (!wait_until([&] { return seed_acks_ >= n; })) {
+    if (!Await([&] { return seed_acks_ >= n; }, never, deadline)) {
       return false;
     }
     std::vector<uint8_t> payload;
@@ -613,109 +534,18 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
     w.WriteU8(kCtlSeedRelease);
     transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true, job_);
   }
-  return wait_until([&] { return seed_released_; });
-}
-
-bool ClusterControl::RunTerminationBarrier() {
-  for (uint64_t round = 0;; ++round) {
-    ctl_->tracker().WaitDrained([&] { return recovery_requested(); });
-    if (recovery_requested()) {
-      return false;
-    }
-    // Let the accumulators drain anything still held before counting traffic. This must
-    // not be deferrable by fault injection: the stability check below assumes it ran.
-    router_->FlushAll();
-    std::vector<uint8_t> payload;
-    ByteWriter w(&payload);
-    w.WriteU8(kCtlReport);
-    w.WriteU64(round);
-    w.WriteU8(ctl_->tracker().Empty() ? 1 : 0);
-    for (uint64_t c : SnapshotCounters().v) {
-      w.WriteU64(c);
-    }
-    transport_->Send(0, FrameType::kControl, std::move(payload), job_);
-    bool ok = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        if (term_have_verdict_ && term_verdict_round_ == round) {
-          ok = term_verdict_ok_;
-          term_have_verdict_ = false;
-          break;
-        }
-        // Check the verdict before the recovery flag: a successful verdict that raced a
-        // (necessarily spurious) recovery request wins, keeping all survivors agreed
-        // that the run finished.
-        if (recovery_requested_.load(std::memory_order_acquire)) {
-          return false;
-        }
-        cv_.wait_for(lock, kIdleBackstop);
-      }
-    }
-    if (ok) {
-      Finish();
-      return true;
-    }
-  }
+  return Await([&] { return seed_released_; }, never, deadline);
 }
 
 bool ClusterControl::RunCheckpointBarrier(
     uint64_t epoch, const std::function<bool(uint64_t)>& write_image,
     const std::function<bool(uint64_t)>& write_manifest,
     const std::function<void(uint64_t)>& at_cut) {
-  const uint64_t t0 = obs::MonotonicNs();
-  uint64_t rounds = 0;
+  const auto recovery = [&] { return recovery_requested(); };
   // Phase 1: quiet-point rounds, until the coordinator sees the whole cluster quiet.
-  for (uint64_t round = 0;; ++round) {
-    if (recovery_requested()) {
-      return false;
-    }
-    ++rounds;
-    ctl_->PauseAndDrain();
-    router_->FlushAll();
-    // Snapshot counters BEFORE probing local quiet: receivers count a frame only after
-    // dispatching it, so every frame in this snapshot is already visible to the probes
-    // below, and a frame missing from it trips the coordinator's sent/received check.
-    const TrafficCounters counters = SnapshotCounters();
-    const bool quiet = ctl_->InboxesEmpty() && router_->Empty();
-    std::vector<uint8_t> payload;
-    ByteWriter w(&payload);
-    w.WriteU8(kCtlCkptReport);
-    w.WriteU64(epoch);
-    w.WriteU64(round);
-    w.WriteU8(quiet ? 1 : 0);
-    for (uint64_t c : counters.v) {
-      w.WriteU64(c);
-    }
-    transport_->Send(0, FrameType::kControl, std::move(payload), job_);
-    bool got = false;
-    bool ok = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        if (ckpt_have_verdict_ && ckpt_verdict_epoch_ == epoch &&
-            ckpt_verdict_round_ == round) {
-          ok = ckpt_verdict_ok_;
-          ckpt_have_verdict_ = false;
-          got = true;
-          break;
-        }
-        if (recovery_requested_.load(std::memory_order_acquire)) {
-          break;
-        }
-        cv_.wait_for(lock, kIdleBackstop);
-      }
-    }
-    if (!got) {
-      ctl_->Resume();
-      return false;
-    }
-    if (ok) {
-      break;
-    }
-    // Not quiet yet: let the workers absorb whatever was still in flight, then retry.
-    ctl_->Resume();
-    std::this_thread::sleep_for(kRoundPacing);
+  if (!RunQuietRounds(QuietKind::kCheckpoint, epoch,
+                      [&] { return ctl_->InboxesEmpty() && router_->Empty(); })) {
+    return false;
   }
 
   // Phase 2: globally quiet, workers still paused — first the cut hook (log windows must
@@ -740,18 +570,16 @@ bool ClusterControl::RunCheckpointBarrier(
   if (transport_->process_id() == 0) {
     const uint32_t n = transport_->processes();
     bool all_ok = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      for (;;) {
-        if (durable_epoch_ == epoch && durable_acks_ == n) {
-          all_ok = durable_all_ok_;
-          break;
-        }
-        if (recovery_requested_.load(std::memory_order_acquire)) {
-          return false;
-        }
-        cv_.wait_for(lock, kIdleBackstop);
-      }
+    if (!Await(
+            [&] {
+              if (durable_epoch_ != epoch || durable_acks_ != n) {
+                return false;
+              }
+              all_ok = durable_all_ok_;
+              return true;
+            },
+            recovery)) {
+      return false;
     }
     const bool commit = all_ok && write_manifest(epoch);
     std::vector<uint8_t> payload;
@@ -762,19 +590,17 @@ bool ClusterControl::RunCheckpointBarrier(
     transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true, job_);
   }
   bool committed = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (ckpt_have_commit_ && ckpt_commit_epoch_ == epoch) {
-        committed = ckpt_commit_ok_;
-        ckpt_have_commit_ = false;
-        break;
-      }
-      if (recovery_requested_.load(std::memory_order_acquire)) {
-        return false;
-      }
-      cv_.wait_for(lock, kIdleBackstop);
-    }
+  if (!Await(
+          [&] {
+            if (!commit_.have || commit_.key != epoch) {
+              return false;
+            }
+            committed = commit_.ok;
+            commit_.have = false;
+            return true;
+          },
+          recovery)) {
+    return false;
   }
   if (committed) {
     committed_epochs_.fetch_add(1, std::memory_order_relaxed);
@@ -782,8 +608,6 @@ bool ClusterControl::RunCheckpointBarrier(
       pm->cluster_checkpoints.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  ctl_->obs().tracer().ControlSpan(obs::TraceKind::kClusterCheckpoint, t0,
-                                   obs::MonotonicNs(), epoch, rounds, committed ? 1 : 0);
   return committed;
 }
 

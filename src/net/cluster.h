@@ -8,24 +8,26 @@
 // (ClusterControl) also drives the forked-process cluster of src/ft/cluster_recovery.h,
 // where each "process" really is an OS process that can be SIGKILLed.
 //
-// Termination uses a two-round stability barrier over control frames: when its tracker is
-// globally empty, a process reports its traffic counters to process 0; the coordinator
-// declares termination once every process reports empty with counters unchanged since the
-// previous round (i.e. nothing happened anywhere in between).
-//
-// The cluster checkpoint barrier (§3.4) reuses the same machinery to reach a *global quiet
-// point* mid-computation: each round, every process pauses-and-drains its workers, flushes
-// its progress accumulators, and reports (local-quiet, traffic counters); the coordinator
-// declares the cluster quiet once every process is locally quiet, counters are unchanged
-// since the previous round, and the cluster-wide sent/received sums match per frame type
-// (no frame in flight). Only then does each process serialize its image; process 0 commits
-// the checkpoint epoch to the manifest strictly after every process reports its image
-// durable, so a torn cluster checkpoint is never adoptable.
+// Every cluster-wide agreement that "nothing is happening" is one quiet-point round
+// machine (ClusterControl::RunQuietRounds). Each round, every participant brings itself to
+// a local cut, reports (locally quiet, traffic counters) to the coordinator — the lowest
+// participant — and waits for the round's verdict: every participant quiet, every
+// participant's counters unchanged since the previous round (two-round stability), and the
+// counters balanced as the barrier's kind demands. Three barriers run on it:
+// - termination: a drained tracker is the cut; no balance check.
+// - checkpoint (§3.4): paused-and-drained workers are the cut, and the cluster-wide
+//   sent/received sums must match per frame type (no frame in flight). Only then does
+//   each process serialize its image; process 0 commits the checkpoint epoch to the
+//   manifest strictly after every process reports its image durable, so a torn cluster
+//   checkpoint is never adoptable.
+// - stall (selective recovery): the checkpoint cut among the survivors of a victim, with
+//   per-pair sent/received balance and the victim's receive link drained.
 
 #ifndef SRC_NET_CLUSTER_H_
 #define SRC_NET_CLUSTER_H_
 
 #include <array>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -39,16 +41,15 @@
 
 namespace naiad {
 
-// Control-frame verbs (first payload byte of every kControl frame). kCtlReport/kCtlVerdict
-// drive the termination barrier; kCtlCkpt* drive the cluster checkpoint (quiet-point
-// rounds, then the durable/commit exchange); kCtlFailure/kCtlRecover drive the coordinated
-// restart of src/ft/cluster_recovery.h; kCtlRegisterJob/kCtlTeardownJob drive the job
-// server's dynamic registration (src/net/job_server.h). Shared in the header so the job
-// server's demux can recognize its verbs before any per-job ClusterControl exists.
-inline constexpr uint8_t kCtlReport = 0;
-inline constexpr uint8_t kCtlVerdict = 1;
-inline constexpr uint8_t kCtlCkptReport = 2;
-inline constexpr uint8_t kCtlCkptVerdict = 3;
+// Control-frame verbs (first payload byte of every kControl frame). kCtlQuietReport/
+// kCtlQuietVerdict drive every quiet-point barrier (the kind travels in the frame);
+// kCtlCkpt* finish the cluster checkpoint (the durable/commit exchange); kCtlFailure/
+// kCtlRecover drive the coordinated restart of src/ft/cluster_recovery.h;
+// kCtlRegisterJob/kCtlTeardownJob drive the job server's dynamic registration
+// (src/net/job_server.h). Shared in the header so the job server's demux can recognize
+// its verbs before any per-job ClusterControl exists.
+inline constexpr uint8_t kCtlQuietReport = 0;
+inline constexpr uint8_t kCtlQuietVerdict = 1;
 inline constexpr uint8_t kCtlCkptDurable = 4;
 inline constexpr uint8_t kCtlCkptCommit = 5;
 inline constexpr uint8_t kCtlFailure = 6;
@@ -57,21 +58,18 @@ inline constexpr uint8_t kCtlRegisterJob = 8;
 inline constexpr uint8_t kCtlTeardownJob = 9;
 // Selective rollback recovery (src/ft/log_recovery.h). kCtlSelectiveRecover replaces the
 // whole-cluster kCtlRecover broadcast when selective mode is on (it carries the victim so
-// every survivor can target its stall barrier and log replay); kCtlStall* drive the
-// survivor stall barrier (a quiet point among the survivors, with the victim's receive
-// link drained); kCtlSeed* drive the post-rebuild seed-state exchange — each process
-// broadcasts its own tracker contributions, acks once it holds all of them, and resumes
-// only after the release, so every −delta any process ever emits is preceded everywhere
-// by its seeded could-result-in ancestor.
+// every survivor can target its stall barrier and log replay); kCtlStallAbort ends every
+// survivor's stall barrier at once; kCtlSeed* drive the post-rebuild seed-state exchange —
+// each process broadcasts its own tracker contributions, acks once it holds all of them,
+// and resumes only after the release, so every −delta any process ever emits is preceded
+// everywhere by its seeded could-result-in ancestor.
 inline constexpr uint8_t kCtlSelectiveRecover = 10;
-inline constexpr uint8_t kCtlStallReport = 11;
-inline constexpr uint8_t kCtlStallVerdict = 12;
 inline constexpr uint8_t kCtlSeedState = 13;
 inline constexpr uint8_t kCtlSeedAck = 14;
 inline constexpr uint8_t kCtlSeedRelease = 15;
 inline constexpr uint8_t kCtlStallAbort = 16;
-// 17 is kCtlHeartbeat (src/net/transport.h) — consumed inside the transport, never
-// demuxed here. New cluster verbs continue from 18.
+// 2, 3, 11 and 12 are unused. 17 is kCtlHeartbeat (src/net/transport.h) — consumed inside
+// the transport, never demuxed here. New cluster verbs continue from 18.
 
 // "No process": recovery_victim() before any failure, and manifest-absent rebase tags.
 inline constexpr uint32_t kNoVictim = 0xffffffffu;
@@ -162,11 +160,12 @@ struct ClusterStats {
   uint64_t send_queue_hwm_bytes = 0;   // max over processes of peak per-link queued bytes
 };
 
-// Per-process cluster control plane: the termination barrier, the checkpoint quiet-point
-// barrier, and failure/recovery signalling, all over kControl frames. One instance per
-// (Controller, TcpTransport) generation; recovery tears it down with the rest and builds a
-// fresh one. Process 0 doubles as the coordinator for both barriers; failure reports go to
-// the lowest-ranked survivor.
+// Per-process cluster control plane over kControl frames: the quiet-point round machine
+// and its three barriers (termination, checkpoint, survivor stall), the checkpoint's
+// durable/commit exchange, the selective seed exchange, and failure/recovery signalling.
+// One instance per (Controller, TcpTransport) generation; recovery tears it down with the
+// rest and builds a fresh one. A barrier's coordinator is its lowest participant (process
+// 0, or 1 when the stall victim is 0); failure reports go to the lowest-ranked survivor.
 class ClusterControl {
  public:
   // In job-server mode each job gets its own instance: `job` tags every control frame this
@@ -174,8 +173,7 @@ class ClusterControl {
   // accounting — replaces the transport's global counters in the barrier's stability
   // checks, so concurrent jobs' traffic cannot keep each other's barriers from
   // stabilizing. The finished_ latch below is therefore per-job by construction: one job's
-  // termination verdict never stops the server from accepting reports for another
-  // (ISSUE 8's Finish() bug).
+  // termination verdict never stops the server from accepting reports for another.
   ClusterControl(Controller* ctl, TcpTransport* transport,
                  DistributedProgressRouter* router, uint32_t job = 0,
                  JobTraffic* traffic = nullptr)
@@ -206,9 +204,9 @@ class ClusterControl {
     return recovery_victim_.load(std::memory_order_acquire);
   }
 
-  // Survivor stall barrier: like the checkpoint barrier's quiet-point rounds, but among
-  // the survivors of `victim` on the live (pre-teardown) mesh, with per-link counters —
-  // the verdict requires every surviving pair's sent==received per frame type plus the
+  // Survivor stall barrier: the checkpoint barrier's quiet-point rounds, but among the
+  // survivors of `victim` on the live (pre-teardown) mesh, with per-link counters — the
+  // verdict requires every surviving pair's sent==received per frame type plus the
   // victim's receive link fully drained, so the survivors' paused state is a consistent
   // cut that has absorbed everything the victim ever put on the wire. Coordinator is the
   // lowest survivor. On success the caller's workers are LEFT PAUSED (capture your image,
@@ -234,7 +232,7 @@ class ClusterControl {
   // for the duration. False on timeout (a peer died mid-rebuild).
   bool RunSeedExchange(const std::vector<ProgressUpdate>& seeds);
 
-  // Blocks until the cluster-wide two-round stability verdict. Returns true on successful
+  // Blocks until the cluster-wide termination verdict. Returns true on successful
   // termination (and latches Finish()); false if interrupted by a recovery request. An
   // in-flight successful verdict beats a concurrent recovery request.
   bool RunTerminationBarrier();
@@ -271,36 +269,54 @@ class ClusterControl {
     return committed_epochs_.load(std::memory_order_relaxed);
   }
 
+  // The quiet-point round machine's vocabulary, public so a test can drive the verdict.
+  enum class QuietKind : uint8_t { kTermination, kCheckpoint, kStall };
+  // One participant's report for one round. `counters` holds sent/received frame counts
+  // (even/odd index) per {data, progress, progress-acc}: 6 entries for termination and
+  // checkpoint, 6 per peer (indexed by peer, self slot zero) for stall.
+  struct QuietReport {
+    uint64_t round = 0;
+    bool quiet = false;
+    std::vector<uint64_t> counters;
+    bool valid = false;
+  };
+  // The verdict on one complete round: quiet ∧ stable ∧ balanced over every participant
+  // (for kStall, every slot but the victim `key`). `prev` is the previous round's table;
+  // round 0 has none, so it is never ok. Balanced: termination — always; checkpoint —
+  // cluster-wide sent == received per frame type; stall — per surviving pair, sent-to ==
+  // received-from per frame type (frames toward the victim are unconstrained).
+  static bool QuietVerdict(QuietKind kind, uint64_t key,
+                           const std::vector<QuietReport>& cur,
+                           const std::vector<QuietReport>& prev);
+
  private:
-  struct TrafficCounters {
-    std::array<uint64_t, 6> v = {};  // sent/received per {data, progress, progress-acc}
-    friend bool operator==(const TrafficCounters&, const TrafficCounters&) = default;
+  using Deadline = std::chrono::steady_clock::time_point;
+  // Coordinator side, one per kind: the current and previous round's reports for `key`
+  // (checkpoint epoch, stall victim, 0 for termination). A new key resets the table.
+  struct QuietTable {
+    uint64_t key = ~uint64_t{0};
+    std::vector<QuietReport> cur;
+    std::vector<QuietReport> prev;
   };
-  struct Report {
+  // Participant side: the last verdict (or, for the checkpoint, commit) received.
+  struct Verdict {
+    bool have = false;
+    uint64_t key = 0;
     uint64_t round = 0;
-    bool quiet = false;
-    TrafficCounters counters;
-    bool valid = false;
+    bool ok = false;
   };
 
-  // Per-link stall-barrier counters: for each peer q, {sent_to(q), received_from(q)} per
-  // {data, progress, progress-acc} — 6 entries per peer, self slots zero.
-  struct LinkCounters {
-    std::vector<uint64_t> v;
-    friend bool operator==(const LinkCounters&, const LinkCounters&) = default;
-  };
-  struct StallReport {
-    uint64_t round = 0;
-    bool quiet = false;
-    LinkCounters counters;
-    bool valid = false;
-  };
-
-  TrafficCounters SnapshotCounters() const;
-  LinkCounters SnapshotLinkCounters() const;
-  void HandleTerminationReport(uint32_t src, ByteReader& r);
-  void HandleCheckpointReport(uint32_t src, ByteReader& r);
-  void HandleStallReport(uint32_t src, ByteReader& r);
+  // Runs rounds of `kind` for `key` until a verdict comes back ok (true; a pausing kind
+  // leaves the workers paused) or the barrier is interrupted (false, workers resumed).
+  // `quiet()` probes local quiet at this process's cut.
+  bool RunQuietRounds(QuietKind kind, uint64_t key, const std::function<bool()>& quiet);
+  void HandleQuietReport(uint32_t src, ByteReader& r);
+  std::vector<uint64_t> SnapshotCounters() const;
+  std::vector<uint64_t> SnapshotLinkCounters() const;
+  // Waits on cv_ under mu_ until `done()` (true), or until `stop()` or `deadline` (false).
+  // `done` is checked first: a result that already arrived beats a concurrent stop.
+  bool Await(const std::function<bool()>& done, const std::function<bool()>& stop,
+             Deadline deadline = Deadline::max());
   void BroadcastRecover(uint32_t victim);
   void NoteVictim(uint32_t victim);
   // Call after storing an atomic flag a barrier, WaitFor or WaitDrained predicate watches
@@ -318,26 +334,14 @@ class ClusterControl {
   std::atomic<uint64_t> committed_epochs_{0};
   std::atomic<bool> selective_mode_{false};
   std::atomic<uint32_t> recovery_victim_{kNoVictim};
+  std::atomic<bool> stall_aborted_{false};
 
   std::mutex mu_;
   std::condition_variable cv_;
-  // Termination verdict (participant side).
-  bool term_have_verdict_ = false;
-  uint64_t term_verdict_round_ = 0;
-  bool term_verdict_ok_ = false;
-  // Checkpoint verdict/commit (participant side).
-  bool ckpt_have_verdict_ = false;
-  uint64_t ckpt_verdict_epoch_ = 0;
-  uint64_t ckpt_verdict_round_ = 0;
-  bool ckpt_verdict_ok_ = false;
-  bool ckpt_have_commit_ = false;
-  uint64_t ckpt_commit_epoch_ = 0;
-  bool ckpt_commit_ok_ = false;
-  std::atomic<bool> stall_aborted_{false};
-  // Stall verdict (participant side) and seed-exchange progress.
-  bool stall_have_verdict_ = false;
-  uint64_t stall_verdict_round_ = 0;
-  bool stall_verdict_ok_ = false;
+  // Participant side, under mu_: one verdict slot per kind, the checkpoint commit, and
+  // seed-exchange progress.
+  std::array<Verdict, 3> verdicts_;
+  Verdict commit_;
   uint32_t seed_frames_ = 0;    // kCtlSeedState frames applied (incl. own)
   uint32_t seed_acks_ = 0;      // coordinator: processes holding the full seed set
   bool seed_released_ = false;
@@ -346,18 +350,9 @@ class ClusterControl {
   uint64_t durable_epoch_ = ~uint64_t{0};
   uint32_t durable_acks_ = 0;
   bool durable_all_ok_ = true;
-  // Coordinator (process 0) report tables for both barriers; touched by receive threads.
+  // Coordinator side, touched by receive threads.
   std::mutex coord_mu_;
-  std::vector<Report> term_reports_;
-  std::vector<Report> term_prev_reports_;
-  uint64_t term_round_ = 0;
-  std::vector<Report> ckpt_reports_;
-  std::vector<Report> ckpt_prev_reports_;
-  uint64_t ckpt_epoch_ = ~uint64_t{0};
-  // Stall-barrier tables (coordinator = lowest survivor, also under coord_mu_).
-  std::vector<StallReport> stall_reports_;
-  std::vector<StallReport> stall_prev_reports_;
-  uint32_t stall_victim_ = kNoVictim;
+  std::array<QuietTable, 3> tables_;
   std::atomic<bool> recover_broadcast_{false};
 };
 

@@ -176,6 +176,7 @@ struct alignas(64) LinkMetrics {
 struct alignas(64) ProcessMetrics {
   LogHistogram progress_emit_updates;  // updates per wire flush (Emit/EmitFromCentral)
   std::atomic<uint64_t> cluster_checkpoints{0};  // committed cluster checkpoint epochs
+  std::atomic<uint64_t> barrier_rounds{0};       // quiet-point rounds, every barrier kind
   std::atomic<uint64_t> cluster_recoveries{0};   // coordinated restarts participated in
   // Idle worker/host waits that ended on kIdleBackstop instead of a notify. Each one is a
   // lost wakeup or a host with nothing to do; a growing count with live work is a bug.
@@ -252,6 +253,7 @@ class Metrics {
     b.Histogram("progress_emit_updates", process_.progress_emit_updates);
     b.Counter("cluster_checkpoints",
               process_.cluster_checkpoints.load(std::memory_order_relaxed));
+    b.Counter("barrier_rounds", process_.barrier_rounds.load(std::memory_order_relaxed));
     b.Counter("cluster_recoveries",
               process_.cluster_recoveries.load(std::memory_order_relaxed));
     b.Counter("idle_backstop_expiries",

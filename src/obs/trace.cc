@@ -48,6 +48,8 @@ KindDesc Describe(TraceKind k) {
       return {"selective_seed", true};
     case TraceKind::kLeaseExpired:
       return {"lease_expired", false};
+    case TraceKind::kTerminationBarrier:
+      return {"termination_barrier", true};
   }
   return {"?", false};
 }
@@ -95,7 +97,7 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
       break;
     case TraceKind::kClusterCheckpoint:
       std::snprintf(buf, sizeof(buf),
-                    "{\"epoch\": %llu, \"rounds\": %llu, \"committed\": %llu}",
+                    "{\"epoch\": %llu, \"rounds\": %llu, \"quiet\": %llu}",
                     static_cast<unsigned long long>(e.a0),
                     static_cast<unsigned long long>(e.a1),
                     static_cast<unsigned long long>(e.a2));
@@ -119,6 +121,11 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
     case TraceKind::kSelectiveStall:
       std::snprintf(buf, sizeof(buf), "{\"victim\": %llu, \"rounds\": %llu, \"ok\": %llu}",
                     static_cast<unsigned long long>(e.a0),
+                    static_cast<unsigned long long>(e.a1),
+                    static_cast<unsigned long long>(e.a2));
+      break;
+    case TraceKind::kTerminationBarrier:
+      std::snprintf(buf, sizeof(buf), "{\"rounds\": %llu, \"ok\": %llu}",
                     static_cast<unsigned long long>(e.a1),
                     static_cast<unsigned long long>(e.a2));
       break;

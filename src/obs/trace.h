@@ -46,8 +46,8 @@ enum class TraceKind : uint8_t {
   kLinkTornFrame,        // a0=src process, a1=bytes consumed, a2=1 if torn in the body
   kCheckpoint,           // a0=image bytes; dur=pause+serialize span
   kRestore,              // a0=image bytes; dur=restore span
-  kClusterCheckpoint,    // a0=checkpoint epoch, a1=barrier rounds, a2=1 when committed;
-                         // dur=quiet-point barrier + publish span
+  kClusterCheckpoint,    // a0=checkpoint epoch, a1=barrier rounds, a2=1 when quiet;
+                         // dur=quiet-point rounds (pause → verdict)
   kClusterRecover,       // a0=restored epoch (UINT64_MAX = fresh start), a1=generation;
                          // dur=teardown + restore + re-dial span
   kLinkDupFrame,         // a0=sequence number, a1=frame type, a2=1 on the receive side
@@ -57,6 +57,8 @@ enum class TraceKind : uint8_t {
   kSelectiveSeed,        // a0=seed updates contributed, a1=log records replayed,
                          // a2=1 on the replacement; dur=seed exchange span
   kLeaseExpired,         // a0=peer process, a1=silence_ns, a2=lease timeout_ns
+  kTerminationBarrier,   // a0=0, a1=barrier rounds, a2=1 on termination;
+                         // dur=termination rounds (first drained wait → verdict)
 };
 
 struct TraceEvent {

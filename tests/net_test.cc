@@ -7,6 +7,7 @@
 
 #include <sys/socket.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -1168,6 +1169,109 @@ TEST(ClusterTest, DistributedLoopReachesFixedPoint) {
     ctl.Join();
   });
   EXPECT_EQ(exits, (std::multiset<uint64_t>{4, 6, 9}));
+}
+
+// The quiet-point verdict (quiet ∧ stable ∧ balanced) as a pure table function: one case
+// per clause and per kind-specific balance rule.
+using QuietKind = ClusterControl::QuietKind;
+using QuietReport = ClusterControl::QuietReport;
+
+QuietReport Rep(uint64_t round, bool quiet, std::vector<uint64_t> counters) {
+  QuietReport r;
+  r.round = round;
+  r.quiet = quiet;
+  r.counters = std::move(counters);
+  r.valid = true;
+  return r;
+}
+
+// Per-link stall counters for one process of three: {sent-to, received-from} per frame
+// type, 6 entries per peer.
+std::vector<uint64_t> Links(std::vector<std::array<uint64_t, 6>> per_peer) {
+  std::vector<uint64_t> v;
+  for (const auto& p : per_peer) {
+    v.insert(v.end(), p.begin(), p.end());
+  }
+  return v;
+}
+
+TEST(QuietVerdictTest, RoundZeroIsNeverOk) {
+  const std::vector<QuietReport> cur(2, Rep(0, true, {5, 5, 0, 0, 0, 0}));
+  const std::vector<QuietReport> none(2);  // no previous round yet
+  for (QuietKind k : {QuietKind::kTermination, QuietKind::kCheckpoint}) {
+    EXPECT_FALSE(ClusterControl::QuietVerdict(k, 0, cur, none));
+  }
+}
+
+TEST(QuietVerdictTest, StableQuietBalancedRoundIsOk) {
+  const std::vector<QuietReport> prev = {Rep(0, true, {3, 1, 2, 2, 0, 0}),
+                                         Rep(0, true, {1, 3, 2, 2, 0, 0})};
+  std::vector<QuietReport> cur = prev;
+  for (QuietReport& r : cur) {
+    r.round = 1;
+  }
+  EXPECT_TRUE(ClusterControl::QuietVerdict(QuietKind::kCheckpoint, 7, cur, prev));
+  EXPECT_TRUE(ClusterControl::QuietVerdict(QuietKind::kTermination, 0, cur, prev));
+}
+
+TEST(QuietVerdictTest, CounterChangeBetweenRoundsIsNotOk) {
+  const std::vector<QuietReport> prev = {Rep(0, true, {3, 1, 2, 2, 0, 0}),
+                                         Rep(0, true, {1, 3, 2, 2, 0, 0})};
+  // Both rounds balanced and quiet, but process 1 received two more data frames.
+  const std::vector<QuietReport> cur = {Rep(1, true, {5, 1, 2, 2, 0, 0}),
+                                        Rep(1, true, {1, 5, 2, 2, 0, 0})};
+  for (QuietKind k : {QuietKind::kTermination, QuietKind::kCheckpoint}) {
+    EXPECT_FALSE(ClusterControl::QuietVerdict(k, 0, cur, prev));
+  }
+}
+
+TEST(QuietVerdictTest, OneParticipantNotQuietIsNotOk) {
+  const std::vector<QuietReport> prev = {Rep(0, true, {0, 0, 4, 4, 0, 0}),
+                                         Rep(0, true, {0, 0, 4, 4, 0, 0})};
+  const std::vector<QuietReport> cur = {Rep(1, true, {0, 0, 4, 4, 0, 0}),
+                                        Rep(1, false, {0, 0, 4, 4, 0, 0})};
+  for (QuietKind k : {QuietKind::kTermination, QuietKind::kCheckpoint}) {
+    EXPECT_FALSE(ClusterControl::QuietVerdict(k, 0, cur, prev));
+  }
+}
+
+TEST(QuietVerdictTest, CheckpointRejectsUnbalancedSumsTerminationDoesNot) {
+  // Quiet and stable, but one progress frame sent and never received: in flight.
+  const std::vector<QuietReport> prev = {Rep(0, true, {2, 2, 3, 1, 0, 0}),
+                                         Rep(0, true, {2, 2, 1, 2, 0, 0})};
+  std::vector<QuietReport> cur = prev;
+  for (QuietReport& r : cur) {
+    r.round = 1;
+  }
+  EXPECT_FALSE(ClusterControl::QuietVerdict(QuietKind::kCheckpoint, 0, cur, prev));
+  // Termination has no balance clause: post-verdict strays are the job server's to drop.
+  EXPECT_TRUE(ClusterControl::QuietVerdict(QuietKind::kTermination, 0, cur, prev));
+}
+
+TEST(QuietVerdictTest, StallIgnoresVictimSlotAndFramesTowardIt) {
+  // Three processes, victim 2. Survivors 0 and 1 exchanged 4 data frames each way; each
+  // also sent frames toward the victim that it never received. The victim's slot holds no
+  // report at all.
+  const uint32_t victim = 2;
+  std::vector<QuietReport> prev = {
+      Rep(0, true, Links({{0, 0, 0, 0, 0, 0}, {4, 4, 0, 0, 0, 0}, {9, 1, 2, 0, 0, 0}})),
+      Rep(0, true, Links({{4, 4, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0}, {7, 0, 0, 0, 1, 0}})),
+      QuietReport{}};
+  std::vector<QuietReport> cur = prev;
+  cur[0].round = cur[1].round = 1;
+  EXPECT_TRUE(ClusterControl::QuietVerdict(QuietKind::kStall, victim, cur, prev));
+}
+
+TEST(QuietVerdictTest, StallSurvivorPairMismatchIsNotOk) {
+  // Victim 0. Survivor 2 sent 5 progress frames to 1, which has received only 4 of them.
+  const uint32_t victim = 0;
+  std::vector<QuietReport> prev = {
+      QuietReport{},
+      Rep(0, true, Links({{0, 0, 0, 0, 0, 0}, {0, 0, 0, 0, 0, 0}, {0, 0, 0, 4, 0, 0}})),
+      Rep(0, true, Links({{0, 0, 0, 0, 0, 0}, {0, 0, 5, 0, 0, 0}, {0, 0, 0, 0, 0, 0}}))};
+  std::vector<QuietReport> cur = prev;
+  cur[1].round = cur[2].round = 1;
+  EXPECT_FALSE(ClusterControl::QuietVerdict(QuietKind::kStall, victim, cur, prev));
 }
 
 }  // namespace
