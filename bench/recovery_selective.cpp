@@ -186,12 +186,12 @@ double Median(std::vector<double> v) {
 
 Trial RunOne(RecoveryMode mode, uint64_t seed, const std::string& tag) {
   const std::string dir = FreshDir(tag);
-  ClusterKillRecoverDriver::Options opts;
+  ClusterKillDriver::Options opts;
   opts.cfg = BenchConfig(dir, mode);
   opts.seed = seed;
   opts.inject_kill = true;
   const ClusterKillOutcome out =
-      ClusterKillRecoverDriver::Run(opts, [](Controller& ctl) {
+      ClusterKillDriver::Run(opts, [](Controller& ctl) {
         return std::make_unique<WordCountApp>(ctl);
       });
   Trial t;

@@ -111,22 +111,7 @@ void Controller::Start() {
     tracker_.Apply(start_updates.Take());  // local-only: every process seeds identically
   }
 
-  {
-    std::lock_guard<std::mutex> lock(early_mu_);
-    accepting_.store(true, std::memory_order_release);
-  }
-  // Replay frames that raced with startup. New arrivals now take the direct path; a frame
-  // appended before `accepting_` flipped is in the vector because both sides hold early_mu_.
-  std::vector<std::vector<uint8_t>> early;
-  {
-    std::lock_guard<std::mutex> lock(early_mu_);
-    early.swap(early_frames_);
-  }
-  for (const auto& f : early) {
-    ReceiveRemoteBundle(f);
-  }
-
-  // Attach last: the pool's lock publishes the seeding above to the hosts.
+  // Attach after seeding: the pool's lock publishes the seeding above to the hosts.
   pool_ = cfg_.host_pool;
   if (pool_ == nullptr) {
     own_pool_ = std::make_unique<HostPool>(cfg_.workers_per_process, event_,
@@ -134,6 +119,9 @@ void Controller::Start() {
     pool_ = own_pool_.get();
   }
   pool_->Attach(this);
+  if (start_hook_) {
+    start_hook_();
+  }
 }
 
 void Controller::Join() {
@@ -232,25 +220,12 @@ std::unique_ptr<WorkItemBase> Controller::DecodeRemoteBundle(std::span<const uin
 }
 
 void Controller::ReceiveRemoteBundle(std::span<const uint8_t> frame) {
-  // A fast peer may ship data before this process finishes instantiating its vertices;
-  // stash such frames and replay them at the end of Start().
-  if (!accepting_.load(std::memory_order_acquire)) {
-    std::lock_guard<std::mutex> lock(early_mu_);
-    if (!accepting_.load(std::memory_order_acquire)) {
-      early_frames_.emplace_back(frame.begin(), frame.end());
-      return;
-    }
-  }
   std::unique_ptr<WorkItemBase> item = DecodeRemoteBundle(frame);
   Worker& owner = item->target()->worker();
   owner.EnqueueExternal(std::move(item));
 }
 
 void Controller::DiscardRemoteBundle(std::span<const uint8_t> frame) {
-  // A replayed frame can only reach the dedup path after this process has applied the
-  // replaying peer's seed-state — which happens strictly after Start() — so there is no
-  // early-frame stash to consider here.
-  NAIAD_CHECK(accepting_.load(std::memory_order_acquire));
   std::unique_ptr<WorkItemBase> item = DecodeRemoteBundle(frame);
   // Retire instead of deliver: the records are already part of this process's state (the
   // original delivery happened before the failure), so only the progress ledger needs the

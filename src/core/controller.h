@@ -70,7 +70,8 @@ class Controller {
   bool started() const { return started_; }
 
   // Freezes the graph, instantiates this process's vertices, seeds the initial pointstamps
-  // (§2.3: one per input stage at epoch 0), and attaches the controller to its host pool.
+  // (§2.3: one per input stage at epoch 0), attaches the controller to its host pool, and
+  // last runs the start hook. No peer frame may reach the controller before Start().
   void Start();
   // Start with worker execution gated: the pause flag is armed before the pool attaches,
   // so workers park before running anything. Selective recovery boots every rebuilt
@@ -146,6 +147,9 @@ class Controller {
   void SetProgressRouter(ProgressRouter* router) { progress_router_ = router; }
   void SetDataTransport(DataTransport* transport) { transport_ = transport; }
   void SetQuiesceHook(std::function<void()> hook) { quiesce_hook_ = std::move(hook); }
+  // Runs at the end of Start(), on the starting thread. The job server opens the job's
+  // frame gate here.
+  void SetStartHook(std::function<void()> hook) { start_hook_ = std::move(hook); }
 
   void RegisterInputStage(StageId s) {
     input_stages_.push_back(s);
@@ -219,6 +223,7 @@ class Controller {
   ProgressRouter* progress_router_;
   DataTransport* transport_ = nullptr;
   std::function<void()> quiesce_hook_;
+  std::function<void()> start_hook_;
   std::function<void(Controller&, ProgressBuffer&)> start_override_;
   SendTap send_tap_;
 
@@ -231,9 +236,6 @@ class Controller {
   std::vector<std::shared_ptr<void>> holders_;
 
   bool started_ = false;
-  std::mutex early_mu_;  // guards frames arriving before Start() finishes
-  std::vector<std::vector<uint8_t>> early_frames_;
-  std::atomic<bool> accepting_{false};
   std::atomic<bool> stop_{false};
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> pause_{false};

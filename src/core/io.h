@@ -100,6 +100,7 @@ class InputHandle {
   // §2.1: "close" the input — no more epochs; lets the computation drain and terminate.
   void OnCompleted() {
     NAIAD_CHECK(!closed_);
+    NAIAD_CHECK(ctl_->started());
     closed_ = true;
     ctl_->NoteLocalInputEpoch(stage_, next_epoch_, closed_);
     progress_.Add(Pointstamp{Timestamp(next_epoch_), Location::Stage(stage_)}, -1);

@@ -12,6 +12,10 @@
 // producer's +1 through a different channel; only strictly positive counts make a
 // pointstamp active, which the protocol paper shows is safe.
 //
+// Updates are placed by the frozen graph's scope tree, so the tracker accepts none before
+// Controller::Start() freezes it; a peer's early frames wait outside, in the job server's
+// stash (src/net/job_context.h).
+//
 // Occurrence counts are kept per loop scope (see ProgressTracker). A frontier query scans
 // only the counts and summarized child-scope images along the query's scope chain, and
 // memoizes its verdict until something on that chain changes; the observable semantics
@@ -248,25 +252,12 @@ class ProgressTracker {
     bool drained;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (!ready_ && !graph_->frozen()) {
-        // Placement needs the frozen scope tree, but in distributed mode a peer's
-        // progress frames can race this process's startup. Stash and replay on freeze;
-        // queries are conservative (false) until then. Drain waiters are woken on every
-        // stashed batch: whether the replay will leave the tracker empty is unknown yet.
-        for (const ProgressUpdate& u : updates) {
-          if (u.delta != 0) {
-            pending_.push_back(u);
-          }
-        }
-        drained = true;
-      } else {
-        EnsureReadyLocked();
-        for (const ProgressUpdate& u : updates) {
-          ApplyOneLocked(u.point, u.delta);
-        }
-        NotePeaksLocked();
-        drained = nonzero_ == 0;
+      EnsureReadyLocked();
+      for (const ProgressUpdate& u : updates) {
+        ApplyOneLocked(u.point, u.delta);
       }
+      NotePeaksLocked();
+      drained = nonzero_ == 0;
       if (drained) {
         ++stats_.drained_notifies;
       }
@@ -279,9 +270,8 @@ class ProgressTracker {
   }
 
   // §2.3: a notification with (projected) pointstamp p may be delivered when no *other*
-  // active pointstamp could-result-in p. Before the graph freezes (possible in distributed
-  // mode, when a peer's progress frames race this process's startup) nothing is
-  // deliverable — the conservative answer.
+  // active pointstamp could-result-in p. Before the graph freezes (a probe polled before
+  // Start) nothing is deliverable — the conservative answer.
   bool CanDeliver(const Pointstamp& p) const {
     if (!graph_->frozen()) {
       return false;
@@ -303,30 +293,15 @@ class ProgressTracker {
   }
 
   // No pointstamp has a nonzero occurrence count. O(1): ApplyOneLocked maintains the
-  // count of nonzero entries, and the pre-freeze stash holds only nonzero deltas.
+  // count of nonzero entries.
   bool Empty() const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!ready_ && graph_->frozen()) {
-      EnsureReadyLocked();  // the replayed stash may cancel out
-    }
-    return nonzero_ == 0 && pending_.empty();
+    return nonzero_ == 0;
   }
 
   int64_t Count(const Pointstamp& p) const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!ready_) {
-      if (graph_->frozen()) {
-        EnsureReadyLocked();
-      } else {
-        int64_t c = 0;
-        for (const ProgressUpdate& u : pending_) {
-          if (u.point == p) {
-            c += u.delta;
-          }
-        }
-        return c;
-      }
-    }
+    EnsureReadyLocked();
     const ScopeState& s = scopes_[graph_->ScopeOf(p.loc)];
     auto it = s.counts.find(p);
     return it == s.counts.end() ? 0 : it->second;
@@ -340,12 +315,6 @@ class ProgressTracker {
   std::vector<std::pair<Pointstamp, int64_t>> ActiveSnapshot() const {
     std::lock_guard<std::mutex> lock(mu_);
     std::map<Pointstamp, int64_t> merged;
-    for (const ProgressUpdate& u : pending_) {
-      merged[u.point] += u.delta;
-      if (merged[u.point] == 0) {
-        merged.erase(u.point);
-      }
-    }
     for (const ScopeState& s : scopes_) {
       for (const auto& [q, count] : s.counts) {
         merged[q] += count;
@@ -382,8 +351,8 @@ class ProgressTracker {
 
   // Blocks the calling (non-worker) thread until the tracker is Empty() or `stop()` holds;
   // used by Join and the termination barrier. Parks on the drained edge, which only an
-  // Apply that leaves the tracker empty notifies (plus, conservatively, every Apply before
-  // the graph freezes), so the waiter sleeps through the run's other progress traffic.
+  // Apply that leaves the tracker empty notifies, so the waiter sleeps through the run's
+  // other progress traffic.
   // Whatever can flip `stop` must call WakeDrainWaiters after setting its flag.
   template <typename Stop>
   void WaitDrained(Stop stop) const {
@@ -418,20 +387,15 @@ class ProgressTracker {
 
   static constexpr size_t kMemoLimit = 4096;  // per-scope; cleared wholesale on overflow
 
-  // Builds the per-scope states from the frozen scope tree and replays updates that
-  // arrived before the freeze. Caller holds mu_ and has checked graph_->frozen().
+  // Builds the per-scope states from the frozen scope tree. Caller holds mu_. Placement
+  // needs the scope tree, so nothing may be applied before the graph freezes: a peer's
+  // frames are held until this process's Controller::Start() (src/net/job_context.h).
   void EnsureReadyLocked() const {
-    if (ready_) {
+    if (!scopes_.empty()) {
       return;
     }
+    NAIAD_CHECK(graph_->frozen()) << "progress tracked before the graph froze";
     scopes_.resize(graph_->num_scopes());
-    ready_ = true;
-    std::vector<ProgressUpdate> replay = std::move(pending_);
-    pending_.clear();
-    for (const ProgressUpdate& u : replay) {
-      ApplyOneLocked(u.point, u.delta);
-    }
-    NotePeaksLocked();
   }
 
   void ApplyOneLocked(const Pointstamp& p, int64_t delta) const {
@@ -567,9 +531,7 @@ class ProgressTracker {
   mutable std::mutex mu_;
   // Mutable: queries lazily build the scope states after the freeze and update the memo
   // and stats; all under mu_.
-  mutable bool ready_ = false;
   mutable std::vector<ScopeState> scopes_;
-  mutable std::vector<ProgressUpdate> pending_;  // nonzero arrivals before the freeze
   mutable uint64_t nonzero_ = 0;  // Σ over scopes of counts entries (all nonzero)
   mutable ProgressTrackerStats stats_;
   mutable EventCount drained_;  // notified when an Apply leaves the tracker empty

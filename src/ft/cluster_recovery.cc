@@ -21,7 +21,7 @@
 #include "src/base/stopwatch.h"
 #include "src/ft/log_recovery.h"
 #include "src/ft/recovery.h"
-#include "src/net/progress_router.h"
+#include "src/net/job_context.h"
 #include "src/ser/bytes.h"
 
 namespace naiad {
@@ -110,9 +110,9 @@ bool ReadRecord(int fd, Record* rec) {
 
 // ---- the member (child) side --------------------------------------------------------
 
-// One cluster member: a full Controller/TcpTransport/ClusterControl stack plus the pipe
-// protocol to the supervisor. Lives in the forked child; never returns to the test body
-// (the child _exits with Run's result).
+// One cluster member: a TcpTransport and, per generation, a JobContext (job 0) over it,
+// plus the pipe protocol to the supervisor. Lives in the forked child; never returns to
+// the test body (the child _exits with Run's result).
 class MemberRunner {
  public:
   MemberRunner(const ClusterRunConfig& cfg, uint32_t slot, int status_fd, int ctl_fd,
@@ -189,10 +189,8 @@ class MemberRunner {
   const ClusterAppFactory* factory_ = nullptr;
   std::vector<uint16_t> ports_;
 
-  std::unique_ptr<Controller> ctl_;
   std::unique_ptr<TcpTransport> transport_;
-  std::unique_ptr<DistributedProgressRouter> router_;
-  std::unique_ptr<ClusterControl> control_;
+  std::unique_ptr<JobContext> job_;  // this generation's stack (job 0)
   std::unique_ptr<ClusterApp> app_;
   std::unique_ptr<OutboundLogSet> outlogs_;  // kSelective config only
   uint32_t gen_ = 0;
@@ -302,14 +300,15 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
   if (!c.obs.trace_path.empty()) {
     c.obs.trace_path += ".p" + std::to_string(slot_);  // one file per member process
   }
-  ctl_ = std::make_unique<Controller>(c);
   if (!transport_) {
     transport_ = std::make_unique<TcpTransport>(slot_, cfg_.processes);
     const uint16_t port = transport_->Listen(ports_[slot_]);
     NAIAD_CHECK(port == ports_[slot_]);
   }
+  job_ = std::make_unique<JobContext>(c, transport_.get(), cfg_.strategy, cfg_.fault_plan,
+                                      /*job=*/0);
   transport_->SetFaultPlan(cfg_.fault_plan);
-  transport_->SetObs(&ctl_->obs());
+  transport_->SetObs(&job_->ctl->obs());
   transport_->SetGeneration(gen);
   {
     // In-band failure detection: heartbeats keep every link's lease fresh through idle
@@ -321,12 +320,6 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     lp.heartbeat_timeout_ms = cfg_.heartbeat_timeout_ms;
     transport_->SetLinkPolicy(lp);
   }
-  router_ = std::make_unique<DistributedProgressRouter>(
-      ctl_.get(), transport_.get(), cfg_.strategy, /*hold_limit=*/1024,
-      cfg_.fault_plan != nullptr ? cfg_.fault_plan->Progress(slot_) : nullptr);
-  ctl_->SetProgressRouter(router_.get());
-  ctl_->SetDataTransport(transport_.get());
-  control_ = std::make_unique<ClusterControl>(ctl_.get(), transport_.get(), router_.get());
   if (cfg_.recovery_mode == RecoveryMode::kSelective) {
     // Every generation opens fresh (truncated) outbound logs: their window is anchored
     // at this generation's start point, and record index k toward a peer equals the
@@ -335,15 +328,15 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     outlogs_ = std::make_unique<OutboundLogSet>(cfg_.ckpt_dir, slot_, cfg_.processes);
     OutboundLogSet* logs = outlogs_.get();
     TcpTransport* tr = transport_.get();
-    ctl_->SetSendTap([logs, tr](uint32_t dst, ConnectorId ch, const Timestamp& t,
-                                int64_t count, std::vector<uint8_t>&& frame) {
+    job_->ctl->SetSendTap([logs, tr](uint32_t dst, ConnectorId ch, const Timestamp& t,
+                                     int64_t count, std::vector<uint8_t>&& frame) {
       logs->RecordAndSend(*tr, dst, ch, t, count, std::move(frame));
     });
-    control_->SetSelectiveMode(true);
+    job_->control->SetSelectiveMode(true);
     recv_rebase_.assign(cfg_.processes, 0);
     last_rebase_epoch_ = restore_epoch;
   }
-  app_ = (*factory_)(*ctl_);
+  app_ = (*factory_)(*job_->ctl);
 
   const bool sel_survivor = kind == BuildKind::kSelectiveSurvivor;
   const bool sel_replacement = kind == BuildKind::kSelectiveReplacement;
@@ -356,7 +349,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     // locally. The image's input positions say where this member's feed resumes.
     NAIAD_CHECK(!mem_image_.empty());
     const std::vector<InputEpochs> inputs =
-        RestoreProcessSelective(*ctl_, std::move(mem_image_), &seeds);
+        RestoreProcessSelective(*job_->ctl, std::move(mem_image_), &seeds);
     mem_image_.clear();
     app_->RestoreInputs(inputs);
     uint64_t start = 0;
@@ -374,11 +367,11 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
                             << restore_epoch << " status "
                             << static_cast<int>(res.status);
       const std::vector<InputEpochs> inputs =
-          RestoreProcessSelective(*ctl_, std::move(res.image), &seeds);
+          RestoreProcessSelective(*job_->ctl, std::move(res.image), &seeds);
       app_->RestoreInputs(inputs);
       *start_epoch = restore_epoch + 1;
     } else {
-      FreshStartSelective(*ctl_, &seeds);
+      FreshStartSelective(*job_->ctl, &seeds);
       *start_epoch = 0;
     }
   } else if (restore_epoch != kNoManifestEpoch) {
@@ -389,7 +382,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     NAIAD_CHECK(res.ok()) << "manifest-committed image unreadable: epoch " << restore_epoch
                           << " status " << static_cast<int>(res.status);
     const std::vector<InputEpochs> inputs =
-        RestoreProcess(*ctl_, std::move(res.image), &pending);
+        RestoreProcess(*job_->ctl, std::move(res.image), &pending);
     app_->RestoreInputs(inputs);
     *start_epoch = restore_epoch + 1;
   } else {
@@ -398,32 +391,16 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
 
   {
     std::lock_guard<std::mutex> lock(sup_mu_);
-    current_control_ = control_.get();
+    current_control_ = job_->control.get();
     current_gen_ = gen;
   }
   TcpTransport::Callbacks cb;
-  Controller* ctl = ctl_.get();
-  DistributedProgressRouter* router = router_.get();
-  ClusterControl* control = control_.get();
-  // Single-job cluster: every frame carries job 0, so the demux is just a type switch.
-  cb.on_frame = [ctl, router, control](FrameType type, uint32_t src, uint32_t /*job*/,
-                                       std::span<const uint8_t> p, bool /*wire*/) {
-    switch (type) {
-      case FrameType::kData:
-        ctl->ReceiveRemoteBundle(p);
-        break;
-      case FrameType::kProgress:
-        router->OnProgressFrame(src, p);
-        break;
-      case FrameType::kProgressAcc:
-        router->OnAccumulatorFrame(src, p);
-        break;
-      case FrameType::kControl:
-        control->HandleControl(src, p);
-        break;
-    }
+  JobContext* job = job_.get();
+  cb.on_frame = [job](FrameType type, uint32_t src, uint32_t /*job*/,
+                      std::span<const uint8_t> p, bool wire) {
+    job->Deliver(type, src, p, wire);
   };
-  cb.on_peer_down = [control](uint32_t peer) { control->ReportFailure(peer); };
+  cb.on_peer_down = [job](uint32_t peer) { job->control->ReportFailure(peer); };
   if (sel_survivor) {
     // The replacement deterministically regenerates the data frames the victim already
     // sent us since the watermark; our state already reflects them. Seeding the receive
@@ -432,7 +409,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     // replacement's RouteBundle nets out (DiscardRemoteBundle).
     transport_->SeedRecvExpectation(victim_, FrameType::kData, replay_expect_);
     synth_next_ = 0;
-    cb.on_dup_frame = [this, ctl](FrameType type, uint32_t src, uint32_t /*job*/,
+    cb.on_dup_frame = [this, job](FrameType type, uint32_t src, uint32_t /*job*/,
                                   uint64_t seq, std::span<const uint8_t> p) -> bool {
       if (type != FrameType::kData || src != victim_ || seq != synth_next_ ||
           synth_next_ >= replay_expect_) {
@@ -440,30 +417,32 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
       }
       ++synth_next_;
       ++replay_dropped_;
-      ctl->DiscardRemoteBundle(p);
+      job->ctl->DiscardRemoteBundle(p);
       return true;  // count as received: the replacement's send side was counted
     };
   }
-  transport_->Start(ports_, std::move(cb));
 
+  // The controller starts before the transport, so no peer frame can reach it earlier;
+  // it starts paused, so no worker runs until this process's share of the cluster's
+  // progress state is in flight. Selective generations reassemble the cluster-wide
+  // tracker state by summing every process's own contributions (survivors at their
+  // stall cut, the replacement at the watermark), plus one +count per cached log record
+  // about to be re-sent — the replacement re-processes exactly those. Nobody resumes
+  // until every contribution is globally applied (the ack/release barrier), so no
+  // transient negative can be observed as a frontier.
+  const uint64_t resend_n = resend_.size();
+  job_->ctl->StartPaused();
+  transport_->Start(ports_, std::move(cb));
+  const uint64_t seed_t0 = obs::MonotonicNs();
   if (selective_gen_) {
-    // Workers park before any seed is applied; the cluster-wide tracker state is then
-    // reassembled by summing every process's own contributions (survivors at their
-    // stall cut, the replacement at the watermark), plus one +count per cached log
-    // record about to be re-sent — the replacement re-processes exactly those. Nobody
-    // resumes until every contribution is globally applied (the ack/release barrier),
-    // so no transient negative can be observed as a frontier.
-    const uint64_t seed_t0 = obs::MonotonicNs();
-    ctl_->StartPaused();
     if (sel_survivor) {
       for (const OutboundRecord& rec : resend_) {
         seeds.push_back(ProgressUpdate{
             Pointstamp{rec.time, Location::Connector(rec.ch)}, rec.count});
       }
     }
-    NAIAD_CHECK(control_->RunSeedExchange(seeds))
+    NAIAD_CHECK(job_->control->RunSeedExchange(seeds))
         << "selective seed exchange failed (p" << slot_ << " gen " << gen << ")";
-    const uint64_t resend_n = resend_.size();
     if (sel_survivor) {
       // Re-send the validated log tail so it is re-logged: record k of the new window
       // rides link sequence k again, keeping the invariant for a later rebase. No
@@ -472,22 +451,18 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
       // before the first frame is sent, instead of one fsync per frame.
       outlogs_->ResendTail(*transport_, victim_, std::move(resend_));
     }
-    ctl_->Resume();
-    if (ctl_->obs().tracer().enabled()) {
-      ctl_->obs().tracer().ControlSpan(obs::TraceKind::kSelectiveSeed, seed_t0,
-                                       obs::MonotonicNs(), seeds.size(), resend_n,
-                                       sel_replacement ? 1 : 0);
-    }
-    resend_.clear();
-  } else {
-    ctl_->Start();
+  } else if (!pending.empty()) {
     // Restored pending-notification +1s travel the ordinary broadcast channel, after
     // Start and strictly before any input is fed (see RestoreProcess's contract).
-    if (!pending.empty()) {
-      router_->Broadcast(std::move(pending));
-      ctl_->event().NotifyAll();  // the router may hold them until a worker's idle edge
-    }
+    job_->router->Broadcast(std::move(pending));
   }
+  job_->ctl->Resume();  // also wakes a worker for updates the router holds
+  if (selective_gen_ && job_->ctl->obs().tracer().enabled()) {
+    job_->ctl->obs().tracer().ControlSpan(obs::TraceKind::kSelectiveSeed, seed_t0,
+                                          obs::MonotonicNs(), seeds.size(), resend_n,
+                                          sel_replacement ? 1 : 0);
+  }
+  resend_.clear();
 }
 
 void MemberRunner::Teardown() {
@@ -496,21 +471,19 @@ void MemberRunner::Teardown() {
     current_control_ = nullptr;
   }
   transport_->Abort();  // unblocks senders mid-write; joins all transport threads
-  ctl_->Stop();
+  job_->ctl->Stop();
   ExportLogCounters();  // workers are joined: the tap can no longer run
   app_.reset();
-  control_.reset();
-  router_.reset();
   outlogs_.reset();
   transport_.reset();  // releases the listen socket so Build can rebind the same port
-  ctl_.reset();
+  job_.reset();        // after the transport, which traces into the controller's obs
 }
 
 void MemberRunner::ExportLogCounters() {
-  if (!outlogs_ || !ctl_) {
+  if (!outlogs_ || !job_) {
     return;
   }
-  if (obs::ProcessMetrics* pm = ctl_->obs().metrics().process()) {
+  if (obs::ProcessMetrics* pm = job_->ctl->obs().metrics().process()) {
     pm->log_records_logged.fetch_add(outlogs_->records_logged(),
                                      std::memory_order_relaxed);
     pm->log_bytes_logged.fetch_add(outlogs_->bytes_logged(), std::memory_order_relaxed);
@@ -554,7 +527,7 @@ void MemberRunner::ResolveStallIfRepassed(uint64_t epoch_passed) {
 
 bool MemberRunner::RunEpochs(uint64_t start_epoch) {
   auto write_image = [this](uint64_t epoch) {
-    std::vector<uint8_t> image = CheckpointProcess(*ctl_);
+    std::vector<uint8_t> image = CheckpointProcess(*job_->ctl);
     return WriteCheckpointFile(ClusterImagePath(cfg_.ckpt_dir, slot_, epoch), image);
   };
   auto write_manifest = [this](uint64_t epoch) {
@@ -567,7 +540,7 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
     app_->FeedEpoch(e);
     last_fed_epoch_ = e;
     if (dbg) std::fprintf(stderr, "[p%u g%u] fed epoch %llu\n", slot_, gen_, (unsigned long long)e);
-    ctl_->tracker().WaitFor([&] {
+    job_->ctl->tracker().WaitFor([&] {
       // The stall stopwatch stops the moment the re-pass target clears the frontier,
       // not when this member's own current epoch later passes: a selective survivor
       // waits here several epochs ahead of the replacement's catch-up, and resolving
@@ -575,10 +548,10 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
       if (stall_pending_ && app_->EpochPassed(stall_target_)) {
         ResolveStallIfRepassed(stall_target_);
       }
-      return app_->EpochPassed(e) || control_->recovery_requested();
+      return app_->EpochPassed(e) || job_->control->recovery_requested();
     });
-    if (dbg) std::fprintf(stderr, "[p%u g%u] epoch %llu passed (rec=%d)\n", slot_, gen_, (unsigned long long)e, (int)control_->recovery_requested());
-    if (control_->recovery_requested()) {
+    if (dbg) std::fprintf(stderr, "[p%u g%u] epoch %llu passed (rec=%d)\n", slot_, gen_, (unsigned long long)e, (int)job_->control->recovery_requested());
+    if (job_->control->recovery_requested()) {
       return false;
     }
     ResolveStallIfRepassed(e);
@@ -589,8 +562,10 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
     if (!selective_gen_ && ShouldCheckpoint(e)) {
       SendStatus(kStCheckpointing, e, gen_);
       if (dbg) std::fprintf(stderr, "[p%u g%u] entering ckpt barrier e=%llu\n", slot_, gen_, (unsigned long long)e);
-      if (!control_->RunCheckpointBarrier(e, write_image, write_manifest, rebase_at_cut)) {
-        NAIAD_CHECK(control_->recovery_requested()) << "cluster checkpoint failed outright";
+      if (!job_->control->RunCheckpointBarrier(e, write_image, write_manifest,
+                                               rebase_at_cut)) {
+        NAIAD_CHECK(job_->control->recovery_requested())
+            << "cluster checkpoint failed outright";
         return false;
       }
       ++total_commits_;
@@ -604,19 +579,21 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
     // A survivor whose inputs were already past the last epoch skipped the loop above;
     // it still owes the cluster the final collective checkpoint, and its own probe only
     // passes once the replacement's replay catches up.
-    ctl_->tracker().WaitFor([&] {
+    job_->ctl->tracker().WaitFor([&] {
       if (stall_pending_ && app_->EpochPassed(stall_target_)) {
         ResolveStallIfRepassed(stall_target_);
       }
-      return app_->EpochPassed(last) || control_->recovery_requested();
+      return app_->EpochPassed(last) || job_->control->recovery_requested();
     });
-    if (control_->recovery_requested()) {
+    if (job_->control->recovery_requested()) {
       return false;
     }
     ResolveStallIfRepassed(last);
     SendStatus(kStCheckpointing, last, gen_);
-    if (!control_->RunCheckpointBarrier(last, write_image, write_manifest, rebase_at_cut)) {
-      NAIAD_CHECK(control_->recovery_requested()) << "cluster checkpoint failed outright";
+    if (!job_->control->RunCheckpointBarrier(last, write_image, write_manifest,
+                                             rebase_at_cut)) {
+      NAIAD_CHECK(job_->control->recovery_requested())
+          << "cluster checkpoint failed outright";
       return false;
     }
     ++total_commits_;
@@ -626,10 +603,10 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
   ResolveStallIfRepassed(cfg_.total_epochs - 1);  // rejoin path: loop may not have run
   app_->CloseInputs();
   if (dbg) std::fprintf(stderr, "[p%u g%u] inputs closed; termination barrier\n", slot_, gen_);
-  if (!control_->RunTerminationBarrier()) {
+  if (!job_->control->RunTerminationBarrier()) {
     return false;
   }
-  ctl_->Stop();
+  job_->ctl->Stop();
   return true;
 }
 
@@ -640,7 +617,7 @@ bool MemberRunner::PrepareSelective() {
   // inside the final checkpoint barrier can leave one survivor committed — fast local
   // fallback — while the other's barrier aborted and it still has epochs to protect).
   const auto abort = [this] {
-    control_->AbortSelectiveStall();
+    job_->control->AbortSelectiveStall();
     return false;
   };
   if (::getenv("NAIAD_SELECTIVE_FALLBACK_INJECT") != nullptr) {
@@ -658,11 +635,11 @@ bool MemberRunner::PrepareSelective() {
     // the rejoin semantics of the coordinated path handle the termination race.
     return abort();
   }
-  victim_ = control_->recovery_victim();
+  victim_ = job_->control->recovery_victim();
   if (victim_ == kNoVictim || victim_ == slot_) {
     return abort();  // nobody attributed the failure; only a coordinated restart is safe
   }
-  if (!control_->RunStallBarrier(victim_)) {
+  if (!job_->control->RunStallBarrier(victim_)) {
     return abort();  // couldn't establish a clean survivor cut; workers were resumed
   }
   // Workers are parked at the stall cut. Everything the victim sent us since the
@@ -670,7 +647,7 @@ bool MemberRunner::PrepareSelective() {
   // replays must therefore be deduped up to this count.
   replay_expect_ =
       transport_->frames_received_from(victim_, FrameType::kData) - recv_rebase_[victim_];
-  mem_image_ = CheckpointProcess(*ctl_);
+  mem_image_ = CheckpointProcess(*job_->ctl);
   for (const InputEpochs& in : PeekImageInputs(mem_image_)) {
     if (in.closed) {
       // The kill landed during termination: a closed input cannot be reopened for the
@@ -686,11 +663,11 @@ bool MemberRunner::PrepareSelective() {
 
 void MemberRunner::NoteRecovered(uint64_t t0_ns, uint64_t restore_epoch, uint64_t mode) {
   ++recoveries_;
-  ctl_->obs().tracer().ControlSpan(
+  job_->ctl->obs().tracer().ControlSpan(
       obs::TraceKind::kClusterRecover, t0_ns, obs::MonotonicNs(),
       restore_epoch == kNoManifestEpoch ? 0 : restore_epoch, gen_,
       restore_epoch == kNoManifestEpoch ? 0 : 1);
-  if (obs::ProcessMetrics* pm = ctl_->obs().metrics().process()) {
+  if (obs::ProcessMetrics* pm = job_->ctl->obs().metrics().process()) {
     pm->cluster_recoveries.fetch_add(1, std::memory_order_relaxed);
     if (mode == 1) {
       pm->selective_recoveries.fetch_add(1, std::memory_order_relaxed);
@@ -930,8 +907,8 @@ uint64_t ReadClusterManifest(const std::string& dir, uint32_t expect_processes,
 
 // ---- the supervisor (parent) side ---------------------------------------------------
 
-ClusterKillOutcome ClusterKillRecoverDriver::Run(const Options& opts,
-                                                 const ClusterAppFactory& factory) {
+ClusterKillOutcome ClusterKillDriver::Run(const Options& opts,
+                                          const ClusterAppFactory& factory) {
   const ClusterRunConfig& cfg = opts.cfg;
   const uint32_t n = cfg.processes;
   NAIAD_CHECK(n >= 2);

@@ -1,8 +1,11 @@
 // Cluster-wide checkpointing and single-process kill-and-recover (§3.4).
 //
-// This is the forked-process counterpart of src/net/cluster.h: N real OS processes, each a
-// full Controller + TcpTransport + DistributedProgressRouter + ClusterControl stack, driven
-// by a single-threaded supervisor (the test parent) over pipes. Because the members are
+// This is the forked-process counterpart of src/net/cluster.h: N real OS processes, driven
+// by a single-threaded supervisor (the test parent) over pipes. Each member builds its
+// per-generation stack as the job server builds a job's: one JobContext
+// (src/net/job_context.h, job 0) over the member's TcpTransport, whose Deliver is the
+// member's only frame demux. The member starts that context's controller, paused, before
+// its transport, so no peer frame can reach it before Start(). Because the members are
 // processes, one of them can be SIGKILLed mid-epoch; the survivors then run the coordinated
 // restart that the thread-mode cluster can only simulate.
 //
@@ -174,11 +177,12 @@ struct ClusterKillOutcome {
 };
 
 // Forks cfg.processes members running `factory`-built apps, optionally SIGKILLs one of
-// them at a seed-chosen point (victim, epoch, feed-vs-barrier phase, and in-phase delay are
-// all pure functions of `seed`), supervises the coordinated restart, and reaps everyone.
+// them at a seed-chosen point (victim = seed % processes, kill epoch = 1 + seed %
+// (total_epochs - 1); the feed-vs-barrier phase and in-phase delay are also pure
+// functions of `seed`), supervises the restart, and reaps everyone.
 // Determinism contract: the final epoch's checkpoint images are byte-identical to a clean
 // (inject_kill = false) run's for every seed — that is the property under test.
-class ClusterKillRecoverDriver {
+class ClusterKillDriver {
  public:
   struct Options {
     ClusterRunConfig cfg;

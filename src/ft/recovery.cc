@@ -1,19 +1,11 @@
 #include "src/ft/recovery.h"
 
 #include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <thread>
 
 #include "src/base/hash.h"
-#include "src/base/logging.h"
-#include "src/base/rng.h"
 
 namespace naiad {
 
@@ -153,117 +145,6 @@ CheckpointReadResult ReadCheckpointFileEx(const std::string& path) {
   res.status = CheckpointReadStatus::kOk;
   res.image = std::move(raw);
   return res;
-}
-
-std::vector<uint8_t> ReadCheckpointFile(const std::string& path) {
-  return ReadCheckpointFileEx(path).image;
-}
-
-namespace {
-
-// Pipe records: one tag byte + u64 epoch, written atomically (well under PIPE_BUF).
-constexpr uint8_t kTagStarting = 1;
-constexpr uint8_t kTagDurable = 2;
-
-void WriteRecord(int fd, uint8_t tag, uint64_t epoch) {
-  uint8_t rec[9];
-  rec[0] = tag;
-  std::memcpy(rec + 1, &epoch, sizeof(epoch));
-  size_t off = 0;
-  while (off < sizeof(rec)) {
-    ssize_t n = ::write(fd, rec + off, sizeof(rec) - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return;  // driver went away; the child just keeps computing
-    }
-    off += static_cast<size_t>(n);
-  }
-}
-
-bool ReadRecord(int fd, uint8_t* tag, uint64_t* epoch) {
-  uint8_t rec[9];
-  size_t off = 0;
-  while (off < sizeof(rec)) {
-    ssize_t n = ::read(fd, rec + off, sizeof(rec) - off);
-    if (n < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    if (n == 0) {
-      return false;  // EOF: child exited
-    }
-    off += static_cast<size_t>(n);
-  }
-  *tag = rec[0];
-  std::memcpy(epoch, rec + 1, sizeof(*epoch));
-  return true;
-}
-
-}  // namespace
-
-void KillRecoverDriver::Reporter::StartingEpoch(uint64_t epoch) {
-  WriteRecord(fd_, kTagStarting, epoch);
-}
-
-void KillRecoverDriver::Reporter::CheckpointDurable(uint64_t epoch) {
-  WriteRecord(fd_, kTagDurable, epoch);
-}
-
-KillRecoverDriver::Outcome KillRecoverDriver::Run(
-    uint64_t seed, uint64_t total_epochs, const std::function<void(Reporter&)>& body) {
-  NAIAD_CHECK(total_epochs >= 2) << "need at least one epoch before the kill target";
-  Outcome out;
-  out.kill_epoch = 1 + seed % (total_epochs - 1);
-  Rng rng(HashCombine(seed, 0x4b494c4cULL));  // "KILL"
-  const uint32_t kill_delay_us = static_cast<uint32_t>(rng.Below(2000));
-
-  int fds[2];
-  if (::pipe(fds) != 0) {
-    return out;
-  }
-  pid_t pid = ::fork();
-  if (pid < 0) {
-    ::close(fds[0]);
-    ::close(fds[1]);
-    return out;
-  }
-  if (pid == 0) {
-    // Child: run the computation, reporting over the pipe, then die without running
-    // parent-process atexit/static-destructor state.
-    ::close(fds[0]);
-    Reporter reporter(fds[1]);
-    body(reporter);
-    ::_exit(0);
-  }
-  out.forked = true;
-  ::close(fds[1]);
-  uint8_t tag = 0;
-  uint64_t epoch = 0;
-  while (ReadRecord(fds[0], &tag, &epoch)) {
-    if (tag == kTagDurable) {
-      out.any_durable = true;
-      out.last_durable_epoch = epoch;
-    } else if (tag == kTagStarting && epoch == out.kill_epoch) {
-      // Mid-epoch: the victim announced the epoch and is now feeding/processing it.
-      std::this_thread::sleep_for(std::chrono::microseconds(kill_delay_us));
-      ::kill(pid, SIGKILL);
-      out.killed = true;
-      break;
-    }
-  }
-  ::close(fds[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  if (!out.killed && WIFSIGNALED(status)) {
-    // Child died on its own (e.g. a crash under test); surface that as a kill so callers
-    // still attempt recovery rather than mistaking it for a clean finish.
-    out.killed = true;
-  }
-  return out;
 }
 
 }  // namespace naiad

@@ -1,21 +1,12 @@
-// Kill-and-recover driver (§3.4): real process death for the checkpoint/restore path.
-//
-// The checkpoint tests in ft_test simulate failure by abandoning a controller; this driver
-// makes the failure real. It forks a child process that runs the computation, checkpointing
-// to a file at epoch boundaries (atomically — write-temp-then-rename — so SIGKILL can never
-// expose a torn image), and SIGKILLs the child mid-epoch at a seed-chosen point. Recovery
-// then restores a fresh controller from whatever image survived on disk and replays the
-// remaining epochs; results must be byte-identical to a clean run for every seed.
-//
-// Determinism contract: the kill epoch and the in-epoch kill delay are pure functions of
-// the seed, so `seed` alone reproduces the failure schedule (up to OS scheduling of the
-// victim, which recovery correctness must not depend on — that is the property under test).
+// Durable checkpoint files (§3.4): atomic, CRC-checked publication of a process image and
+// its verified read-back. The forked-cluster kill-and-recover harness
+// (src/ft/cluster_recovery.h) publishes every member's images through these, so a SIGKILL
+// can never expose a torn image.
 
 #ifndef SRC_FT_RECOVERY_H_
 #define SRC_FT_RECOVERY_H_
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -48,39 +39,6 @@ struct CheckpointReadResult {
 
 // Reads and verifies a previously published image (see CheckpointReadStatus).
 CheckpointReadResult ReadCheckpointFileEx(const std::string& path);
-
-// Legacy wrapper: the verified image, or empty for every non-kOk outcome.
-std::vector<uint8_t> ReadCheckpointFile(const std::string& path);
-
-class KillRecoverDriver {
- public:
-  // The child's reporting channel back to the driver (a pipe). The child announces when it
-  // begins feeding an epoch and when that epoch's checkpoint is durable on disk.
-  class Reporter {
-   public:
-    explicit Reporter(int fd) : fd_(fd) {}
-    void StartingEpoch(uint64_t epoch);
-    void CheckpointDurable(uint64_t epoch);
-
-   private:
-    int fd_;
-  };
-
-  struct Outcome {
-    bool forked = false;             // driver ran (fork succeeded)
-    bool killed = false;             // child was SIGKILLed (vs finishing early)
-    uint64_t kill_epoch = 0;         // epoch the kill targeted
-    uint64_t last_durable_epoch = 0; // highest CheckpointDurable seen before the kill
-    bool any_durable = false;
-  };
-
-  // Forks a child running `body(reporter)`; the child must _exit when done. The parent
-  // SIGKILLs it a seed-derived delay after it announces StartingEpoch(kill_epoch), where
-  // kill_epoch = 1 + seed % (total_epochs - 1) — always mid-run, never before the first
-  // checkpoint can exist nor after the run's useful life.
-  static Outcome Run(uint64_t seed, uint64_t total_epochs,
-                     const std::function<void(Reporter&)>& body);
-};
 
 }  // namespace naiad
 

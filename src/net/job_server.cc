@@ -6,35 +6,6 @@
 
 namespace naiad {
 
-// One registered dataflow on one process: its controller (graph, tracker, vertices,
-// workers), its progress router and control plane, and its wire-traffic accounting. Held
-// by shared_ptr so the demux, the driver, and the trace epilogue can each keep
-// it alive across the teardown race without coordinating destruction.
-struct JobServer::JobContext {
-  JobId id = 0;
-  JobTraffic traffic;
-
-  // DataTransport adapter: stamps this job's id into every record-bundle frame and
-  // credits the job's accounting alongside the transport's global counters.
-  struct Data final : DataTransport {
-    TcpTransport* transport = nullptr;
-    JobContext* ctx = nullptr;
-    void SendBundle(uint32_t dst_process, std::vector<uint8_t> frame) override {
-      transport->Send(dst_process, FrameType::kData, std::move(frame), ctx->id,
-                      &ctx->traffic);
-    }
-  };
-  Data data;
-
-  std::unique_ptr<Controller> ctl;
-  std::unique_ptr<DistributedProgressRouter> router;
-  std::unique_ptr<ClusterControl> control;
-
-  // Flips true (under the process's stash_mu) once the stash has been replayed; the demux
-  // delivers directly only after that, so a job's frames are applied in arrival order.
-  std::atomic<bool> accepting{false};
-};
-
 struct JobServer::ProcessState {
   uint32_t pid = 0;
   // Server-level observability: the transport's link metrics and sender/receiver trace
@@ -54,11 +25,12 @@ struct JobServer::ProcessState {
   std::shared_mutex jobs_mu;
   std::map<JobId, std::shared_ptr<JobContext>> jobs;
 
-  // Frames that arrived before their job registered locally, in arrival order, bounded by
-  // ClusterOptions::job_stash_limit_bytes per job. stash_mu also serializes the accepting
-  // flip against the demux's re-check: a racing frame either lands in the stash (and is
-  // replayed in order) or observes the flip and delivers directly — per-link FIFO holds
-  // across the handoff.
+  // Frames that arrived before their job's controller started here, in arrival order.
+  // Only a job not yet registered here is bounded (ClusterOptions::job_stash_limit_bytes
+  // per job); a registered job's frames are held whole until its start hook replays them.
+  // stash_mu also serializes the accepting flip against the demux's re-check: a racing
+  // frame either lands in the stash (and is replayed in order) or observes the flip and
+  // delivers directly — per-link FIFO holds across the handoff.
   struct StashedFrame {
     FrameType type;
     uint32_t src;
@@ -193,12 +165,14 @@ JobId JobServer::Submit(Body body) {
     registry_.emplace(id, std::move(body));
     next_job_hint_.store(next_job_, std::memory_order_release);
   }
-  // The announcement. Process 0's copy dispatches inline (include_self), so its context
-  // exists before Submit returns; peers' copies travel their p0 link in FIFO order with
-  // any later teardown for the same id.
+  // The announcement. Peers' copies are queued first: process 0's copy then dispatches
+  // inline and starts the job's body there, whose frames must follow the announcement on
+  // every link, or a peer would hold them under the unregistered-job quota. Peers' copies
+  // travel their p0 link in FIFO order with any later teardown for the same id.
   std::vector<uint8_t> payload{kCtlRegisterJob};
   procs_[0]->transport->BroadcastFrame(FrameType::kControl, payload,
-                                       /*include_self=*/true, id);
+                                       /*include_self=*/false, id);
+  procs_[0]->transport->Send(0, FrameType::kControl, std::move(payload), id);
   return id;
 }
 
@@ -212,30 +186,6 @@ void JobServer::Teardown(JobId id) {
 void JobServer::Wait(JobId id) {
   std::unique_lock<std::mutex> lock(done_mu_);
   done_cv_.wait(lock, [&] { return retired_count_[id] == opts_.processes; });
-}
-
-void JobServer::Deliver(ProcessState& ps, JobContext& ctx, FrameType type, uint32_t src,
-                        std::span<const uint8_t> payload, bool wire) {
-  switch (type) {
-    case FrameType::kData:
-      ctx.ctl->ReceiveRemoteBundle(payload);
-      break;
-    case FrameType::kProgress:
-      ctx.router->OnProgressFrame(src, payload);
-      break;
-    case FrameType::kProgressAcc:
-      ctx.router->OnAccumulatorFrame(src, payload);
-      break;
-    case FrameType::kControl:
-      ctx.control->HandleControl(src, payload);
-      break;
-  }
-  if (wire) {
-    // Counted after delivery, mirroring the transport's global counters: a counted
-    // received frame is already visible to the job's quiet probes.
-    ctx.traffic.frames_received[static_cast<size_t>(type)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
 }
 
 void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
@@ -256,7 +206,7 @@ void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t
     auto it = ps.jobs.find(job);
     if (it != ps.jobs.end() &&
         it->second->accepting.load(std::memory_order_acquire)) {
-      Deliver(ps, *it->second, type, src, payload, wire);
+      it->second->Deliver(type, src, payload, wire);
       return;
     }
     StashOrDrop(ps, type, src, job, payload, wire);
@@ -266,7 +216,7 @@ void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t
   JobsSharedScope scope(ps.jobs_mu, &ps);
   auto it = ps.jobs.find(job);
   if (it != ps.jobs.end() && it->second->accepting.load(std::memory_order_acquire)) {
-    Deliver(ps, *it->second, type, src, payload, wire);
+    it->second->Deliver(type, src, payload, wire);
     return;
   }
   StashOrDrop(ps, type, src, job, payload, wire);
@@ -275,17 +225,18 @@ void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t
 // Slow path: the job has no accepting context here. Requires shared hold of ps.jobs_mu
 // (direct or via the re-entrancy guard). A frame for a retired or never-announced job is
 // dropped deterministically — counted and traced, never handed to freed vertices; a frame
-// for a job still registering is stashed (bounded) for in-order replay. Control frames
-// are stashed too: a late barrier verdict must survive the registration race or the
-// job would hang.
+// for a job whose controller has not started here is stashed for in-order replay
+// (bounded while the job is not yet registered). Control frames are stashed too: a late
+// barrier verdict must survive the registration race or the job would hang.
 void JobServer::StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
                             std::span<const uint8_t> payload, bool wire) {
   std::lock_guard<std::mutex> lock(ps.stash_mu);
-  // Re-check under stash_mu: HandleRegister flips `accepting` under it, strictly after
+  // Re-check under stash_mu: OpenGate flips `accepting` under it, strictly after
   // replaying the stash, so whichever side wins this lock preserves arrival order.
   auto it = ps.jobs.find(job);
-  if (it != ps.jobs.end() && it->second->accepting.load(std::memory_order_acquire)) {
-    Deliver(ps, *it->second, type, src, payload, wire);
+  const bool registered = it != ps.jobs.end();
+  if (registered && it->second->accepting.load(std::memory_order_acquire)) {
+    it->second->Deliver(type, src, payload, wire);
     return;
   }
   const bool known =
@@ -297,7 +248,9 @@ void JobServer::StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint
     return;
   }
   ProcessState::Stash& s = ps.stash[job];
-  if (s.bytes + payload.size() > opts_.job_stash_limit_bytes) {
+  // A registered job's held frames are not quota-bound: its start is only a body's
+  // graph construction away, and exchange bundles can be MB-sized.
+  if (!registered && s.bytes + payload.size() > opts_.job_stash_limit_bytes) {
     ps.stash_drops.fetch_add(1, std::memory_order_relaxed);
     return;
   }
@@ -314,8 +267,6 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
     NAIAD_CHECK(it != registry_.end()) << "register for unknown job " << job;
     body = it->second;
   }
-  auto ctx = std::make_shared<JobContext>();
-  ctx->id = job;
   Config cfg;
   cfg.process_id = ps.pid;
   cfg.processes = opts_.processes;
@@ -325,50 +276,47 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
   cfg.obs = opts_.obs;
   cfg.obs.trace_path.clear();  // the server writes one combined file at Stop()
   cfg.host_pool = ps.pool.get();
-  ctx->ctl = std::make_unique<Controller>(cfg);
-  ctx->data.transport = ps.transport.get();
-  ctx->data.ctx = ctx.get();
-  ctx->router = std::make_unique<DistributedProgressRouter>(
-      ctx->ctl.get(), ps.transport.get(), opts_.strategy, /*hold_limit=*/1024,
-      opts_.fault_plan != nullptr ? opts_.fault_plan->Progress(ps.pid) : nullptr);
-  ctx->router->SetJobAccounting(job, &ctx->traffic);
-  ctx->ctl->SetProgressRouter(ctx->router.get());
-  ctx->ctl->SetDataTransport(&ctx->data);
-  ctx->control = std::make_unique<ClusterControl>(
-      ctx->ctl.get(), ps.transport.get(), ctx->router.get(), job, &ctx->traffic);
+  auto ctx = std::make_shared<JobContext>(cfg, ps.transport.get(), opts_.strategy,
+                                          opts_.fault_plan, job);
   ClusterControl* control = ctx->control.get();
   ctx->ctl->SetQuiesceHook([control] { control->RunTerminationBarrier(); });
+  // The context owns the controller that owns the hook, so a raw pointer cannot dangle.
+  JobContext* raw = ctx.get();
+  ctx->ctl->SetStartHook([this, &ps, raw] { OpenGate(ps, *raw); });
   {
     std::unique_lock<std::shared_mutex> lock(ps.jobs_mu);
     const bool inserted = ps.jobs.emplace(job, ctx).second;
     NAIAD_CHECK(inserted) << "job " << job << " registered twice";
   }
-  // Replay the pre-registration stash, then flip `accepting` — atomically with the
-  // emptiness check, so no frame can slip between replay and flip. Delivery itself runs
-  // unlocked (a replayed frame can synchronously broadcast), so late arrivals during a
-  // replay batch go back to the stash and are picked up by the next round, still in
-  // order.
+  {
+    std::lock_guard<std::mutex> lock(ps.drivers_mu);
+    ps.drivers.emplace_back(
+        [this, &ps, ctx, body = std::move(body)] { DriverMain(ps, ctx, body); });
+  }
+}
+
+// Runs at the end of the job's Controller::Start(), on its driver thread, holding neither
+// jobs_mu nor the pool's lock. Replays the stash, then flips `accepting` — atomically with
+// the emptiness check, so no frame can slip between replay and flip. Delivery itself runs
+// unlocked (a replayed frame can synchronously broadcast), so late arrivals during a
+// replay batch go back to the stash and are picked up by the next round, still in order.
+void JobServer::OpenGate(ProcessState& ps, JobContext& ctx) {
   for (;;) {
     std::vector<ProcessState::StashedFrame> frames;
     {
       std::lock_guard<std::mutex> lock(ps.stash_mu);
-      auto sit = ps.stash.find(job);
+      auto sit = ps.stash.find(ctx.id);
       if (sit == ps.stash.end() || sit->second.frames.empty()) {
-        ps.stash.erase(job);
-        ctx->accepting.store(true, std::memory_order_release);
+        ps.stash.erase(ctx.id);
+        ctx.accepting.store(true, std::memory_order_release);
         break;
       }
       frames.swap(sit->second.frames);
       sit->second.bytes = 0;
     }
     for (ProcessState::StashedFrame& f : frames) {
-      Deliver(ps, *ctx, f.type, f.src, f.payload, f.wire);
+      ctx.Deliver(f.type, f.src, f.payload, f.wire);
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(ps.drivers_mu);
-    ps.drivers.emplace_back(
-        [this, &ps, ctx, body = std::move(body)] { DriverMain(ps, ctx, body); });
   }
 }
 

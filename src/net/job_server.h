@@ -6,8 +6,9 @@
 // at runtime over kControl frames (kCtlRegisterJob / kCtlTeardownJob), run concurrently on
 // the shared hosts and links, and are isolated by the JobId every frame header carries:
 //
-//   - Each job gets its own Controller (graph, tracker with its own epoch space, input
-//     stages, vertices, keep-alive holders), DistributedProgressRouter, and
+//   - Each job gets its own JobContext (src/net/job_context.h, shared with the
+//     kill-and-recover member): a Controller (graph, tracker with its own epoch space,
+//     input stages, vertices, keep-alive holders), DistributedProgressRouter, and
 //     ClusterControl, so frontiers, epochs, and termination barriers never mix across
 //     jobs. The per-job ClusterControl also makes completion per-job: one job's
 //     termination verdict latches only its own finished_ flag, so the server keeps
@@ -17,17 +18,20 @@
 //     one-owner-thread contract each Worker assumes.
 //   - The demux delivers a frame to its job's context while holding the jobs table's
 //     shared lock; teardown retires a context under the exclusive lock, so a frame is
-//     either delivered to a live job or dropped — never handed to freed vertices. Frames
-//     for a job announced but not yet registered locally are stashed (bounded by
-//     ClusterOptions::job_stash_limit_bytes, the per-job buffered-bytes quota) and
-//     replayed in arrival order at registration, which generalizes the Controller's
-//     early_frames_ stash across the registration race. Frames for unknown or
-//     already-torn-down jobs are dropped deterministically: counted
+//     either delivered to a live job or dropped — never handed to freed vertices. A frame
+//     for a job whose controller has not started here is stashed and replayed in arrival
+//     order by the controller's start hook; this is the only place early frames wait.
+//     While the job is not yet registered locally the stash is bounded by
+//     ClusterOptions::job_stash_limit_bytes per job (over-quota frames are counted in
+//     ClusterStats::stash_overflow_drops); once registered, its frames are held whole
+//     until Start(). Frames for unknown or already-torn-down jobs, and frames still held
+//     when a job is torn down before Start(), are dropped deterministically: counted
 //     (ClusterStats::stray_frames_dropped) and traced (kStrayFrame).
 //
-// Job lifecycle: registering (announced, context under construction or stash replaying)
-// → running (context accepting, body driving it) → draining (termination barrier, or
-// cancelled by teardown) → torn down (context retired; subsequent frames are stray).
+// Job lifecycle: registering (announced, context under construction) → registered (body
+// building its graph; frames held) → running (started, stash replayed, context accepting)
+// → draining (termination barrier, or cancelled by teardown) → torn down (context
+// retired; subsequent frames are stray).
 //
 // Cluster::Run is now a thin wrapper: Start → Submit(body) → Wait → Stop.
 
@@ -47,6 +51,7 @@
 
 #include "src/base/stopwatch.h"
 #include "src/net/cluster.h"
+#include "src/net/job_context.h"
 
 namespace naiad {
 
@@ -68,10 +73,10 @@ class JobServer {
   // Brings up the transport mesh and host threads. No job exists yet.
   void Start();
 
-  // Registers `body` as a new job on every process and returns its id. The coordinator
-  // process registers inline before the announcement reaches any peer, so per-job barrier
-  // reports always find their context. Returns immediately; the job runs concurrently
-  // with any other registered job.
+  // Registers `body` as a new job on every process and returns its id. The announcement
+  // is queued on every link of process 0 before process 0 registers the job inline, so
+  // no frame its body sends can overtake the announcement to a peer. Returns immediately;
+  // the job runs concurrently with any other registered job.
   JobId Submit(Body body);
 
   // Requests isolated teardown: interrupts the job's barrier, cancels its Join, and
@@ -96,16 +101,14 @@ class JobServer {
   uint64_t stash_overflow_drops() const;
 
  private:
-  struct JobContext;
   struct ProcessState;
 
   void OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
                std::span<const uint8_t> payload, bool wire);
   void StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
                    std::span<const uint8_t> payload, bool wire);
-  void Deliver(ProcessState& ps, JobContext& ctx, FrameType type, uint32_t src,
-               std::span<const uint8_t> payload, bool wire);
   void HandleRegister(ProcessState& ps, JobId job);
+  void OpenGate(ProcessState& ps, JobContext& ctx);
   void HandleTeardown(ProcessState& ps, JobId job);
   void DriverMain(ProcessState& ps, std::shared_ptr<JobContext> ctx, const Body& body);
   void RetireJob(ProcessState& ps, std::shared_ptr<JobContext> ctx);

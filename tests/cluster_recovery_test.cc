@@ -164,10 +164,10 @@ std::vector<std::vector<uint8_t>> FinalImages(const ClusterRunConfig& cfg) {
 const std::vector<std::vector<uint8_t>>& CleanReference() {
   static const std::vector<std::vector<uint8_t>>* ref = [] {
     const std::string dir = FreshDir("clean_ref");
-    ClusterKillRecoverDriver::Options opts;
+    ClusterKillDriver::Options opts;
     opts.cfg = BaseConfig(dir);
     opts.inject_kill = false;
-    const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
+    const ClusterKillOutcome out = ClusterKillDriver::Run(opts, Factory());
     NAIAD_CHECK(out.launched && out.ok) << "clean reference run failed";
     NAIAD_CHECK(!out.killed);
     NAIAD_CHECK(out.stats.recoveries == 0);
@@ -187,15 +187,18 @@ bool SeedKillsInBarrier(uint64_t seed) {
 
 ClusterKillOutcome SweepSeed(uint64_t seed) {
   const std::string dir = FreshDir("seed_" + std::to_string(seed));
-  ClusterKillRecoverDriver::Options opts;
+  ClusterKillDriver::Options opts;
   opts.cfg = BaseConfig(dir);
   opts.seed = seed;
   opts.inject_kill = true;
-  const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
+  const ClusterKillOutcome out = ClusterKillDriver::Run(opts, Factory());
   EXPECT_TRUE(out.launched);
   EXPECT_TRUE(out.ok) << "seed " << seed << ": cluster failed to recover; reproduce with "
                       << "--seed=" << seed;
   EXPECT_TRUE(out.killed) << "seed " << seed;
+  // The kill schedule is a pure function of the seed.
+  EXPECT_EQ(out.victim, seed % opts.cfg.processes) << "seed " << seed;
+  EXPECT_EQ(out.kill_epoch, 1 + seed % (opts.cfg.total_epochs - 1)) << "seed " << seed;
   EXPECT_EQ(SeedKillsInBarrier(seed), out.kill_in_barrier);
   if (out.ok) {
     // The core property: byte-identical final images versus the clean run.
@@ -280,12 +283,12 @@ TEST(ClusterRecoveryTest, BarrierKillNeverAdoptsTornCheckpoint) {
 // Forces selective mode regardless of the environment and runs one mid-feed kill seed.
 ClusterKillOutcome RunSelectiveSeed(uint64_t seed) {
   const std::string dir = FreshDir("sel_seed_" + std::to_string(seed));
-  ClusterKillRecoverDriver::Options opts;
+  ClusterKillDriver::Options opts;
   opts.cfg = BaseConfig(dir);
   opts.cfg.recovery_mode = RecoveryMode::kSelective;
   opts.seed = seed;
   opts.inject_kill = true;
-  const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
+  const ClusterKillOutcome out = ClusterKillDriver::Run(opts, Factory());
   EXPECT_TRUE(out.launched);
   EXPECT_TRUE(out.ok) << "selective seed " << seed;
   EXPECT_TRUE(out.killed) << "selective seed " << seed;
@@ -350,7 +353,7 @@ TEST(ClusterRecoveryTest, DetectorDrivenRecoveryWithoutHint) {
   // byte-identically. The supervisor stamps kill→detection latency from the first
   // member's detection report.
   const std::string dir = FreshDir("no_hint");
-  ClusterKillRecoverDriver::Options opts;
+  ClusterKillDriver::Options opts;
   opts.cfg = BaseConfig(dir);
   opts.cfg.supervisor_hint = false;
   uint64_t seed = 5000;
@@ -359,7 +362,7 @@ TEST(ClusterRecoveryTest, DetectorDrivenRecoveryWithoutHint) {
   }
   opts.seed = seed;
   opts.inject_kill = true;
-  const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
+  const ClusterKillOutcome out = ClusterKillDriver::Run(opts, Factory());
   EXPECT_TRUE(out.launched);
   EXPECT_TRUE(out.ok) << "hint-disabled seed " << seed
                       << ": in-band detection failed to drive recovery";
@@ -383,12 +386,12 @@ TEST(ClusterRecoveryTest, RetainKPrunesSupersededImagesOnDisk) {
   // retain=2, the commits at 5 and 7 must have swept 1 and 3 from disk, while the
   // retained pair (current + one fallback) and the manifest survive.
   const std::string dir = FreshDir("retain");
-  ClusterKillRecoverDriver::Options opts;
+  ClusterKillDriver::Options opts;
   opts.cfg = BaseConfig(dir);
   opts.cfg.total_epochs = 8;
   opts.cfg.checkpoint_retain = 2;
   opts.inject_kill = false;
-  const ClusterKillOutcome out = ClusterKillRecoverDriver::Run(opts, Factory());
+  const ClusterKillOutcome out = ClusterKillDriver::Run(opts, Factory());
   ASSERT_TRUE(out.launched && out.ok);
   auto image_exists = [&](uint32_t p, uint64_t e) {
     struct stat st;

@@ -169,23 +169,6 @@ TEST_F(ProgressTrackerTest, DrainWaitReturnsOnStopFlagAndWake) {
   EXPECT_EQ(tracker.Stats().drained_notifies, 0u);
 }
 
-// Before the graph freezes, updates are stashed unplaced: every stashed Apply notifies
-// the drained edge, and Empty() sees a stash that cancels out once the graph freezes.
-TEST(ProgressTrackerStashTest, StashedAppliesNotifyAndCancelOnFreeze) {
-  LogicalGraph g;
-  const StageId s = g.AddStage(StageDef{});
-  EventCount ev;
-  ProgressTracker tracker(&g, &ev);
-  const ProgressUpdate up{Pointstamp{T(0), Location::Stage(s)}, +1};
-  const ProgressUpdate down{Pointstamp{T(0), Location::Stage(s)}, -1};
-  tracker.Apply(std::span<const ProgressUpdate>(&up, 1));
-  tracker.Apply(std::span<const ProgressUpdate>(&down, 1));
-  EXPECT_FALSE(tracker.Empty());  // unplaced: conservatively active
-  EXPECT_EQ(tracker.Stats().drained_notifies, 2u);
-  g.Freeze();
-  EXPECT_TRUE(tracker.Empty());
-}
-
 // Frontier facts that cross the loop's scope boundary, where a root query sees loop-
 // internal activity only through its summarized image (the model sweep in
 // progress_scoped_model_test.cc covers randomized schedules; this pins the basics with

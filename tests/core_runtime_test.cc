@@ -311,6 +311,18 @@ TEST(RuntimeTest, ProbeWaitsForEpochCompletion) {
   ctl.Join();
 }
 
+// Closing an input is a progress update, and the tracker accepts none before Start()
+// freezes the graph: the call itself must fail, as OnNext and OnPartial do.
+TEST(RuntimeTest, InputCompletedBeforeStartDies) {
+  const auto close_early = [] {
+    Controller ctl(Config{.workers_per_process = 1});
+    GraphBuilder b(ctl);
+    auto [in, handle] = NewInput<uint64_t>(b);
+    handle->OnCompleted();
+  };
+  EXPECT_DEATH(close_early(), "ctl_->started\\(\\)");
+}
+
 // Re-entrant self-loop: a vertex sends to itself through a feedback stage with a bounded
 // re-entrancy depth; the chain must complete without unbounded queue growth or deadlock.
 class SelfSendVertex final : public Unary2Vertex<uint64_t, uint64_t, uint64_t> {

@@ -1,6 +1,6 @@
 // Fault-tolerance tests (§3.4): checkpoint / restore round-trips, cross-epoch state
-// survival, pending-notification recovery, kill-and-recover with real process death,
-// and the logging tap.
+// survival, pending-notification recovery, durable checkpoint files, and the logging tap.
+// Kill-and-recover with real process death runs in tests/cluster_recovery_test.cc.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +9,11 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
-#include <thread>
 
-#include "src/base/hash.h"
 #include "src/core/controller.h"
 #include "src/core/io.h"
 #include "src/ft/checkpoint.h"
@@ -334,120 +331,6 @@ TEST(CheckpointTest, LoopGraphWithPendingNotificationSurvivesRestore) {
   EXPECT_EQ(outputs[3], (std::multiset<uint64_t>{0, 1, 2, 3}));
 }
 
-// ---- Kill-and-recover: real process death via the src/ft/recovery.h driver ------------
-//
-// A forked child runs the MinPipeline over kKillEpochs deterministic epochs,
-// checkpointing to an (atomically published) file at each epoch boundary; the driver
-// SIGKILLs it mid-epoch at a seed-chosen point. Recovery restores a fresh controller
-// from whatever image survived and replays the remaining epochs. The final state —
-// captured as a checkpoint image, whose encoding is deterministic — must be
-// byte-identical to a clean, never-killed run, for every seed in the sweep.
-
-constexpr uint64_t kKillEpochs = 6;
-
-std::vector<KV> KillEpochData(uint64_t epoch) {
-  std::vector<KV> recs;
-  for (uint64_t k = 0; k < 10; ++k) {
-    recs.push_back({k, Mix64(HashCombine(epoch, k)) % 1000});
-  }
-  return recs;
-}
-
-// Barrier on the *sink's* probe, not the input stage: for a byte-deterministic
-// checkpoint, every notification <= epoch anywhere in the pipeline must have fired
-// before capture, and only the terminal stage's frontier guarantees that.
-void WaitEpochPassed(MinPipeline& p, uint64_t epoch) {
-  p.probe.WaitPassed(epoch);
-}
-
-TEST(KillRecoverTest, RecoveredRunMatchesCleanRunByteForByte) {
-  // Clean reference: all epochs, no failure; keep the final image in memory.
-  std::vector<uint8_t> clean_image;
-  {
-    MinPipeline p(2);
-    p.ctl.Start();
-    for (uint64_t e = 0; e < kKillEpochs; ++e) {
-      p.handle->OnNext(KillEpochData(e));
-      WaitEpochPassed(p, e);
-    }
-    clean_image = CheckpointProcess(p.ctl);
-    p.handle->OnCompleted();
-    p.ctl.Join();
-  }
-  ASSERT_FALSE(clean_image.empty());
-
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    const std::string ckpt =
-        ::testing::TempDir() + "/naiad_kill_" + std::to_string(seed) + ".ckpt";
-    std::remove(ckpt.c_str());
-
-    KillRecoverDriver::Outcome outcome = KillRecoverDriver::Run(
-        seed, kKillEpochs, [&](KillRecoverDriver::Reporter& rep) {
-          MinPipeline p(2);
-          p.ctl.Start();
-          for (uint64_t e = 0; e < kKillEpochs; ++e) {
-            rep.StartingEpoch(e);
-            p.handle->OnNext(KillEpochData(e));
-            WaitEpochPassed(p, e);
-            std::vector<uint8_t> image = CheckpointProcess(p.ctl);
-            if (WriteCheckpointFile(ckpt, image)) {
-              rep.CheckpointDurable(e);
-            }
-          }
-          p.handle->OnCompleted();
-          p.ctl.Join();
-        });
-    ASSERT_TRUE(outcome.forked) << "seed " << seed;
-
-    // Recovery: restore from whatever image survived on disk (possibly none, if the
-    // kill landed before the first checkpoint was durable) and replay the rest.
-    std::vector<uint8_t> surviving = ReadCheckpointFile(ckpt);
-    std::vector<uint8_t> final_image;
-    {
-      MinPipeline p(2);
-      uint64_t first_epoch = 0;
-      if (!surviving.empty()) {
-        std::vector<InputEpochs> inputs = RestoreProcess(p.ctl, std::move(surviving));
-        ASSERT_EQ(inputs.size(), 1u) << "seed " << seed;
-        p.handle->RestoreEpoch(inputs[0].next_epoch, inputs[0].closed);
-        first_epoch = inputs[0].next_epoch;
-      }
-      p.ctl.Start();
-      for (uint64_t e = first_epoch; e < kKillEpochs; ++e) {
-        p.handle->OnNext(KillEpochData(e));
-        WaitEpochPassed(p, e);
-      }
-      final_image = CheckpointProcess(p.ctl);
-      p.handle->OnCompleted();
-      p.ctl.Join();
-    }
-    EXPECT_EQ(final_image, clean_image)
-        << "seed " << seed << ": kill at epoch " << outcome.kill_epoch
-        << " (last durable " << outcome.last_durable_epoch
-        << ", any=" << outcome.any_durable << ") diverged from the clean run";
-    std::remove(ckpt.c_str());
-  }
-}
-
-TEST(KillRecoverTest, DriverKillsAtTheSeedChosenEpoch) {
-  // The driver's schedule is a pure function of the seed: same seed, same kill epoch.
-  for (uint64_t seed : {3u, 9u, 14u}) {
-    KillRecoverDriver::Outcome a = KillRecoverDriver::Run(
-        seed, kKillEpochs, [&](KillRecoverDriver::Reporter& rep) {
-          for (uint64_t e = 0; e < kKillEpochs; ++e) {
-            rep.StartingEpoch(e);
-            // Slow enough that the kill lands while this epoch is "in flight".
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            rep.CheckpointDurable(e);
-          }
-        });
-    EXPECT_TRUE(a.forked);
-    EXPECT_TRUE(a.killed) << "seed " << seed;
-    EXPECT_EQ(a.kill_epoch, 1 + seed % (kKillEpochs - 1)) << "seed " << seed;
-    EXPECT_LT(a.last_durable_epoch, a.kill_epoch) << "seed " << seed;
-  }
-}
-
 size_t OpenFdCount() {
   DIR* d = ::opendir("/proc/self/fd");
   EXPECT_NE(d, nullptr);
@@ -490,7 +373,7 @@ TEST(CheckpointFileTest, PublishedImageRoundTripsAndOverwrites) {
   const size_t fds_before = OpenFdCount();
   const std::vector<uint8_t> first = {9, 8, 7, 6, 5};
   ASSERT_TRUE(WriteCheckpointFile(path, first));
-  EXPECT_EQ(ReadCheckpointFile(path), first);
+  EXPECT_EQ(ReadCheckpointFileEx(path).image, first);
   // Republishing replaces the image atomically (the kill/recover path overwrites the
   // same name every epoch) and leaves no temp file.
   std::vector<uint8_t> second(300);
@@ -498,7 +381,7 @@ TEST(CheckpointFileTest, PublishedImageRoundTripsAndOverwrites) {
     second[i] = static_cast<uint8_t>(i * 7);
   }
   ASSERT_TRUE(WriteCheckpointFile(path, second));
-  EXPECT_EQ(ReadCheckpointFile(path), second);
+  EXPECT_EQ(ReadCheckpointFileEx(path).image, second);
   struct stat st;
   EXPECT_NE(::stat((path + ".tmp").c_str(), &st), 0);
   EXPECT_EQ(OpenFdCount(), fds_before);

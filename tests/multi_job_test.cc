@@ -287,6 +287,72 @@ TEST(JobServerTest, FramesForRetiredAndUnknownJobsAreDroppedAndCounted) {
   EXPECT_GE(stats.stray_frames_dropped, 2u);
 }
 
+// The frame gate: a registered job's frames wait in the server's stash until its
+// controller has started here, however many bytes that is. Process 1's body blocks
+// before ctl.Start() until a second job's body runs on process 1. That job's registration
+// travels link 0→1 behind every frame process 0's input sent for the first job (per-link
+// FIFO), so by then all of them are held — more bytes than the quota for a job that is
+// not yet registered admits — and none may have been dropped. (Submit queues a job's
+// announcement on every link before process 0's body can send, so none of those frames
+// reached process 1 before the job was registered there.)
+TEST(JobServerGate, RegisteredJobHoldsFramesUntilStartBeyondTheQuota) {
+  ClusterOptions opts = ServerOptions();
+  opts.job_stash_limit_bytes = 1024;
+  JobServer server(opts);
+  server.Start();
+  JobResult r1, r2;
+  std::promise<void> fed;      // process 0 has sent every epoch of job 1
+  std::promise<void> release;  // process 1 may start job 1
+  std::promise<uint64_t> drops;  // quota drops once process 1 holds all of job 1's frames
+  std::future<void> fed_done = fed.get_future();
+  std::shared_future<void> released = release.get_future().share();
+  std::future<uint64_t> drops_before_start = drops.get_future();
+
+  const JobId j1 = server.Submit([&](Controller& ctl) {
+    GraphBuilder b(ctl);
+    InputHandle<uint64_t>* handle = BuildCountGraph(ctl, b, &r1);
+    const uint32_t pid = ctl.config().process_id;
+    if (pid == 1) {
+      released.wait();
+    }
+    ctl.Start();
+    for (uint64_t e = 0; e < kEpochs; ++e) {
+      std::vector<uint64_t> data;
+      for (uint64_t i = 0; i < kRecordsPerEpoch; ++i) {
+        data.push_back(Record(1, pid, e, i));
+      }
+      handle->OnNext(std::move(data));
+    }
+    if (pid == 0) {
+      fed.set_value();
+    }
+    handle->OnCompleted();
+    ctl.Join();
+  });
+  fed_done.wait();
+  // Only job 1 exists and process 1 has not started it: every data byte on the wire so
+  // far is bound for its stash.
+  const uint64_t held_bytes = server.transport(0).bytes_sent(FrameType::kData);
+  const JobId j2 = server.Submit([&](Controller& ctl) {
+    if (ctl.config().process_id == 1) {
+      drops.set_value(server.stash_overflow_drops());
+      release.set_value();
+    }
+    CountBody(2, &r2)(ctl);
+  });
+  // A dropped frame would stall job 1 for good; fail here instead (Stop tears it down).
+  ASSERT_EQ(drops_before_start.get(), 0u);
+  server.Wait(j1);
+  server.Wait(j2);
+  const ClusterStats stats = server.Stop();
+
+  EXPECT_GT(held_bytes, opts.job_stash_limit_bytes);
+  EXPECT_EQ(r1.counts, ExpectedCounts(1, kEpochs));
+  EXPECT_EQ(r2.counts, ExpectedCounts(2, kEpochs));
+  EXPECT_EQ(stats.stash_overflow_drops, 0u);
+  EXPECT_EQ(stats.stray_frames_dropped, 0u);
+}
+
 // Fig. 6b's empty notification loop: every vertex asks to be notified at the next
 // iteration until `iters`. Vertex 0 (process 0, worker 0) stamps each iteration's end.
 class BarrierVertex final : public UnaryVertex<uint64_t, uint64_t> {
@@ -360,8 +426,8 @@ TEST(JobServerBarrier, CrossProcessWakeupIsEventDriven) {
   // The backstop counter names the same failure directly: with a live job, every expiry
   // is a host that slept through work (or had none for 20 ms, which this loop never does).
   EXPECT_LE(stats.obs.counter("idle_backstop_expiries"), 5u);
-  // Join parks on the tracker's drained edge, which fires on the final drain (plus any
-  // updates stashed before a process's graph froze), never once per iteration.
+  // Join parks on the tracker's drained edge, which fires on the final drain, never once
+  // per iteration.
   EXPECT_LE(stats.obs.counter("progress_drained_notifies"), 4u * kProcesses);
 }
 

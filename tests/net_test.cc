@@ -838,6 +838,10 @@ TEST(TransportRecvTest, DuplicateSequenceNumberIsDroppedNotRedelivered) {
   EXPECT_EQ(got[0], p1);
   EXPECT_EQ(got[1], p2);
   EXPECT_EQ(h.transport().recv_dup_frames(), 1u);
+  // The receive counter is bumped after the frame is handed over, so it can trail the
+  // handler's notify; it must still settle at exactly 2.
+  EXPECT_TRUE(
+      WaitFor([&] { return h.transport().frames_received(FrameType::kData) == 2u; }));
   EXPECT_EQ(h.transport().frames_received(FrameType::kData), 2u);
 }
 

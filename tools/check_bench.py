@@ -2,10 +2,13 @@
 """Diffs two run labels inside a BENCH_<figure>.json perf trajectory file.
 
 Matches rows between a fresh run and a baseline run by identity fields
-(``name`` for google-benchmark rows; ``kind``, ``variant``, ``procs`` or
-``processes`` and the like for the figure drivers) and compares
-``records_per_sec``. A row regresses when the fresh throughput falls below
-``baseline * (1 - threshold)``.
+(``name`` for google-benchmark rows; ``kind``, ``variant``, ``procs``,
+``processes``, ``mode`` and the like for the figure drivers). Rows of one run
+that share a key are repeated trials and are reduced to their median. A row is
+compared on ``records_per_sec`` (higher is better) and regresses when the fresh
+value falls below ``baseline * (1 - threshold)``; a row without it, such as a
+BENCH_recovery.json trial, is compared on ``survivor_stall_s`` (lower is
+better) and regresses when the fresh value exceeds ``baseline * (1 + threshold)``.
 
 The CI perf-smoke job runs this record-only: regressions print WARN and the
 exit code stays 0 unless --strict is given, because a one-core CI runner is
@@ -19,28 +22,47 @@ Usage:
 
 import argparse
 import json
+import statistics
 import sys
+
+# The compared metric of a row, in order of preference, and whether higher is better.
+METRICS = (("records_per_sec", True), ("survivor_stall_s", False))
 
 
 def row_key(row):
     if "name" in row:
         return ("name", row["name"])
     parts = [row.get("kind", "?")]
-    for field in ("variant", "procs", "processes", "cluster_edges", "metric"):
+    for field in ("variant", "procs", "processes", "mode", "cluster_edges", "metric"):
         if field in row:
             parts.append(f"{field}={row[field]}")
     return ("kv", "/".join(str(p) for p in parts))
 
 
+def row_metric(row):
+    for metric, _ in METRICS:
+        if isinstance(row.get(metric), (int, float)):
+            return metric
+    return None
+
+
 def rows_by_key(doc, label):
+    """Maps each (row key, metric) of run `label` to the median over its trials."""
     for run in doc.get("runs", []):
         if run.get("label") == label:
-            out = {}
+            samples = {}
             for row in run.get("rows", []):
-                if isinstance(row.get("records_per_sec"), (int, float)):
-                    out[row_key(row)] = float(row["records_per_sec"])
-            return out
+                metric = row_metric(row)
+                if metric is not None:
+                    samples.setdefault((row_key(row), metric), []).append(float(row[metric]))
+            return {key: statistics.median(vals) for key, vals in samples.items()}
     return None
+
+
+def regressed(metric, got, base, threshold):
+    if dict(METRICS)[metric]:
+        return got < base * (1.0 - threshold)
+    return got > base * (1.0 + threshold)
 
 
 def main() -> int:
@@ -52,8 +74,9 @@ def main() -> int:
         "--threshold",
         type=float,
         default=0.5,
-        help="warn when fresh records_per_sec < baseline * (1 - threshold); "
-        "default 0.5 (i.e. flag a >2x slowdown)",
+        help="warn when fresh records_per_sec < baseline * (1 - threshold), or fresh "
+        "survivor_stall_s > baseline * (1 + threshold); default 0.5 (i.e. flag a >2x "
+        "throughput drop)",
     )
     parser.add_argument(
         "--strict", action="store_true", help="exit non-zero on any regression"
@@ -74,20 +97,20 @@ def main() -> int:
 
     compared = 0
     regressions = []
-    for key, base_rps in sorted(base.items()):
+    for key, base_val in sorted(base.items()):
+        (_, name), metric = key
         if key not in fresh:
-            print(f"note: '{key[1]}' in baseline but not in fresh run; skipped")
+            print(f"note: '{name}' in baseline but not in fresh run; skipped")
             continue
         compared += 1
         got = fresh[key]
-        floor = base_rps * (1.0 - args.threshold)
         verdict = "ok"
-        if got < floor:
+        if regressed(metric, got, base_val, args.threshold):
             verdict = "WARN regression"
             regressions.append(key)
         print(
-            f"{verdict}: {key[1]}: {got:.3g} rec/s vs baseline {base_rps:.3g} "
-            f"({got / base_rps:.2f}x)"
+            f"{verdict}: {name}: {metric} {got:.3g} vs baseline {base_val:.3g} "
+            f"({got / base_val:.2f}x)"
         )
     if compared == 0:
         print(

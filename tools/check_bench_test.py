@@ -4,13 +4,21 @@
 Run: python3 tools/check_bench_test.py
 """
 
+import contextlib
+import io
+import json
 import os
+import statistics
 import sys
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import check_bench  # noqa: E402
+
+RECOVERY_BENCH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCH_recovery.json"
+)
 
 
 class RowKeyTest(unittest.TestCase):
@@ -38,6 +46,42 @@ class RowKeyTest(unittest.TestCase):
             check_bench.row_key({"kind": "pagerank", "variant": "csr", "procs": 2}),
             ("kv", "pagerank/variant=csr/procs=2"),
         )
+
+
+class RecoveryRowsTest(unittest.TestCase):
+    def setUp(self):
+        with open(RECOVERY_BENCH, encoding="utf-8") as f:
+            self.doc = json.load(f)
+
+    def test_trials_reduce_to_the_median_stall_per_mode(self):
+        # BENCH_recovery.json rows carry no records_per_sec: three trials per mode, keyed
+        # on `mode`, compared on survivor_stall_s.
+        for label in ("pr22-pre", "pr22-post"):
+            got = check_bench.rows_by_key(self.doc, label)
+            run = next(r for r in self.doc["runs"] if r["label"] == label)
+            for mode in ("coordinated", "selective"):
+                stalls = [r["survivor_stall_s"] for r in run["rows"] if r["mode"] == mode]
+                self.assertEqual(len(stalls), 3)
+                key = (("kv", f"?/mode={mode}"), "survivor_stall_s")
+                self.assertEqual(got[key], statistics.median(stalls))
+            self.assertEqual(len(got), 2)
+
+    def test_lower_stall_is_better(self):
+        self.assertFalse(check_bench.regressed("survivor_stall_s", 1.0, 1.2, 0.1))
+        self.assertTrue(check_bench.regressed("survivor_stall_s", 1.4, 1.2, 0.1))
+        self.assertTrue(check_bench.regressed("records_per_sec", 1.0, 1.2, 0.1))
+
+    def test_pr22_post_diffs_against_pr22_pre(self):
+        argv = sys.argv
+        sys.argv = ["check_bench.py", RECOVERY_BENCH, "--run", "pr22-post",
+                    "--baseline", "pr22-pre", "--strict"]
+        try:
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                rc = check_bench.main()
+        finally:
+            sys.argv = argv
+        self.assertEqual(rc, 0, out.getvalue())
+        self.assertIn("OK: 2 rows within threshold", out.getvalue())
 
 
 if __name__ == "__main__":
