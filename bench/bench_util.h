@@ -16,7 +16,9 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,6 +41,17 @@ inline void Row(const char* fmt, ...) {
   va_end(args);
   std::printf("\n");
   std::fflush(stdout);
+}
+
+// Value of a `--name=N` flag, or `dflt` when absent.
+inline uint64_t FlagU64(int argc, char** argv, const char* name, uint64_t dflt) {
+  const std::string prefix = std::string("--") + name + "=";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
+      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
+    }
+  }
+  return dflt;
 }
 
 // One benchmark run destined for BENCH_<figure>.json: a flat config block plus a list of

@@ -45,16 +45,6 @@ constexpr uint64_t kSeed = 31;
 
 std::atomic<uint64_t> g_sink{0};
 
-uint64_t FlagU64(int argc, char** argv, const char* name, uint64_t dflt) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::strtoull(argv[i] + prefix.size(), nullptr, 10);
-    }
-  }
-  return dflt;
-}
-
 std::string FlagStr(int argc, char** argv, const char* name, const std::string& dflt) {
   const std::string prefix = std::string("--") + name + "=";
   for (int i = 1; i < argc; ++i) {
@@ -112,17 +102,17 @@ void Report(bench::JsonReport& report, const char* variant, uint64_t edges, uint
 
 int main(int argc, char** argv) {
   using namespace naiad;
-  const uint64_t edges_n = FlagU64(argc, argv, "edges", 400000);
-  const uint64_t nodes_n = FlagU64(argc, argv, "nodes", edges_n / 4);
-  const uint64_t iters = FlagU64(argc, argv, "iters", 10);
-  const uint32_t workers = static_cast<uint32_t>(FlagU64(argc, argv, "workers", 4));
+  const uint64_t edges_n = bench::FlagU64(argc, argv, "edges", 400000);
+  const uint64_t nodes_n = bench::FlagU64(argc, argv, "nodes", edges_n / 4);
+  const uint64_t iters = bench::FlagU64(argc, argv, "iters", 10);
+  const uint32_t workers = static_cast<uint32_t>(bench::FlagU64(argc, argv, "workers", 4));
   const std::string variants =
       FlagStr(argc, argv, "variants", "pregel,vertex,edge,csr,gas");
-  const uint64_t reps = std::max<uint64_t>(1, FlagU64(argc, argv, "reps", 1));
-  const bool wire = FlagU64(argc, argv, "wire", edges_n <= 1000000 ? 1 : 0) != 0;
-  const uint64_t cluster_edges = FlagU64(argc, argv, "cluster-edges", 0);
+  const uint64_t reps = std::max<uint64_t>(1, bench::FlagU64(argc, argv, "reps", 1));
+  const bool wire = bench::FlagU64(argc, argv, "wire", edges_n <= 1000000 ? 1 : 0) != 0;
+  const uint64_t cluster_edges = bench::FlagU64(argc, argv, "cluster-edges", 0);
   const uint32_t cluster_procs =
-      static_cast<uint32_t>(FlagU64(argc, argv, "cluster-procs", 2));
+      static_cast<uint32_t>(bench::FlagU64(argc, argv, "cluster-procs", 2));
 
   bench::Header("Fig. 7a", "PageRank on a power-law follower graph (§6.1)",
                 "per-iteration time: Naiad Edge < Naiad Vertex < Naiad Pregel; layering on "

@@ -18,8 +18,9 @@ namespace naiad {
 
 // Backstop for every idle wait in src/core and src/net. Long on purpose: a wait that
 // expires while work is pending is a lost wakeup, and a lost wakeup should cost visibly
-// (and be counted in ProcessMetrics::idle_backstop_expiries) rather than hide inside a
-// short poll period.
+// rather than hide inside a short poll period. A host wait counts in
+// ProcessMetrics::idle_backstop_expiries when it expires and the host then finds work to
+// run, so an expiry on a host that simply had nothing to do is not counted.
 inline constexpr std::chrono::microseconds kIdleBackstop = std::chrono::milliseconds(20);
 
 class EventCount {

@@ -45,6 +45,9 @@ void HostPool::Detach(Controller* ctl) {
 
 void HostPool::HostLoop(uint32_t k) {
   uint64_t idle_fingerprint = ~uint64_t{0};
+  // The last wait ended on the backstop with a live worker, and the host has not run
+  // anything since.
+  bool expired = false;
   while (!stop_.load(std::memory_order_acquire)) {
     bool ran = false;
     {
@@ -54,6 +57,13 @@ void HostPool::HostLoop(uint32_t k) {
       }
     }
     if (ran) {
+      // The host slept through work it had: a lost wakeup. An expiry after which the
+      // host finds nothing to run before it parks again (its peers were descheduled, or
+      // the job gave it nothing to do) is not counted.
+      if (expired && metrics_ != nullptr) {
+        metrics_->idle_backstop_expiries.fetch_add(1, std::memory_order_relaxed);
+      }
+      expired = false;
       idle_fingerprint = ~uint64_t{0};
       continue;
     }
@@ -82,12 +92,9 @@ void HostPool::HostLoop(uint32_t k) {
       idle_fingerprint = fingerprint;
       continue;
     }
-    // With a live worker, an expiry is a lost wakeup or a controller that gave this host
-    // nothing to do for a whole backstop; count it. Parked or absent workers miss
-    // nothing.
-    if (!event_.CommitWait(ticket) && live && metrics_ != nullptr) {
-      metrics_->idle_backstop_expiries.fetch_add(1, std::memory_order_relaxed);
-    }
+    // Parked or absent workers miss nothing, so only an expiry with a live worker is a
+    // candidate lost wakeup.
+    expired = !event_.CommitWait(ticket) && live;
   }
 }
 

@@ -110,9 +110,9 @@ bool ReadRecord(int fd, Record* rec) {
 
 // ---- the member (child) side --------------------------------------------------------
 
-// One cluster member: a TcpTransport and, per generation, a JobContext (job 0) over it,
-// plus the pipe protocol to the supervisor. Lives in the forked child; never returns to
-// the test body (the child _exits with Run's result).
+// One cluster member: a TcpTransport and, per generation, a JobContext (job 0) and a
+// ClusterControl over it, plus the pipe protocol to the supervisor. Lives in the forked
+// child; never returns to the test body (the child _exits with Run's result).
 class MemberRunner {
  public:
   MemberRunner(const ClusterRunConfig& cfg, uint32_t slot, int status_fd, int ctl_fd,
@@ -191,6 +191,7 @@ class MemberRunner {
 
   std::unique_ptr<TcpTransport> transport_;
   std::unique_ptr<JobContext> job_;  // this generation's stack (job 0)
+  std::unique_ptr<ClusterControl> control_;  // this generation's barriers and recovery
   std::unique_ptr<ClusterApp> app_;
   std::unique_ptr<OutboundLogSet> outlogs_;  // kSelective config only
   uint32_t gen_ = 0;
@@ -307,6 +308,8 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
   }
   job_ = std::make_unique<JobContext>(c, transport_.get(), cfg_.strategy, cfg_.fault_plan,
                                       /*job=*/0);
+  control_ = std::make_unique<ClusterControl>(job_->ctl.get(), transport_.get(),
+                                              job_->router.get());
   transport_->SetFaultPlan(cfg_.fault_plan);
   transport_->SetObs(&job_->ctl->obs());
   transport_->SetGeneration(gen);
@@ -332,7 +335,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
                                      int64_t count, std::vector<uint8_t>&& frame) {
       logs->RecordAndSend(*tr, dst, ch, t, count, std::move(frame));
     });
-    job_->control->SetSelectiveMode(true);
+    control_->SetSelectiveMode(true);
     recv_rebase_.assign(cfg_.processes, 0);
     last_rebase_epoch_ = restore_epoch;
   }
@@ -391,16 +394,21 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
 
   {
     std::lock_guard<std::mutex> lock(sup_mu_);
-    current_control_ = job_->control.get();
+    current_control_ = control_.get();
     current_gen_ = gen;
   }
   TcpTransport::Callbacks cb;
   JobContext* job = job_.get();
-  cb.on_frame = [job](FrameType type, uint32_t src, uint32_t /*job*/,
-                      std::span<const uint8_t> p, bool wire) {
-    job->Deliver(type, src, p, wire);
+  ClusterControl* control = control_.get();
+  cb.on_frame = [job, control](FrameType type, uint32_t src, uint32_t /*job*/,
+                               std::span<const uint8_t> p) {
+    if (type == FrameType::kControl) {
+      control->HandleControl(src, p);
+    } else {
+      job->Deliver(type, src, p);
+    }
   };
-  cb.on_peer_down = [job](uint32_t peer) { job->control->ReportFailure(peer); };
+  cb.on_peer_down = [control](uint32_t peer) { control->ReportFailure(peer); };
   if (sel_survivor) {
     // The replacement deterministically regenerates the data frames the victim already
     // sent us since the watermark; our state already reflects them. Seeding the receive
@@ -441,7 +449,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
             Pointstamp{rec.time, Location::Connector(rec.ch)}, rec.count});
       }
     }
-    NAIAD_CHECK(job_->control->RunSeedExchange(seeds))
+    NAIAD_CHECK(control_->RunSeedExchange(seeds))
         << "selective seed exchange failed (p" << slot_ << " gen " << gen << ")";
     if (sel_survivor) {
       // Re-send the validated log tail so it is re-logged: record k of the new window
@@ -476,6 +484,7 @@ void MemberRunner::Teardown() {
   app_.reset();
   outlogs_.reset();
   transport_.reset();  // releases the listen socket so Build can rebind the same port
+  control_.reset();    // after the transport, whose receive threads call into it
   job_.reset();        // after the transport, which traces into the controller's obs
 }
 
@@ -548,10 +557,10 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
       if (stall_pending_ && app_->EpochPassed(stall_target_)) {
         ResolveStallIfRepassed(stall_target_);
       }
-      return app_->EpochPassed(e) || job_->control->recovery_requested();
+      return app_->EpochPassed(e) || control_->recovery_requested();
     });
-    if (dbg) std::fprintf(stderr, "[p%u g%u] epoch %llu passed (rec=%d)\n", slot_, gen_, (unsigned long long)e, (int)job_->control->recovery_requested());
-    if (job_->control->recovery_requested()) {
+    if (dbg) std::fprintf(stderr, "[p%u g%u] epoch %llu passed (rec=%d)\n", slot_, gen_, (unsigned long long)e, (int)control_->recovery_requested());
+    if (control_->recovery_requested()) {
       return false;
     }
     ResolveStallIfRepassed(e);
@@ -562,9 +571,8 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
     if (!selective_gen_ && ShouldCheckpoint(e)) {
       SendStatus(kStCheckpointing, e, gen_);
       if (dbg) std::fprintf(stderr, "[p%u g%u] entering ckpt barrier e=%llu\n", slot_, gen_, (unsigned long long)e);
-      if (!job_->control->RunCheckpointBarrier(e, write_image, write_manifest,
-                                               rebase_at_cut)) {
-        NAIAD_CHECK(job_->control->recovery_requested())
+      if (!control_->RunCheckpointBarrier(e, write_image, write_manifest, rebase_at_cut)) {
+        NAIAD_CHECK(control_->recovery_requested())
             << "cluster checkpoint failed outright";
         return false;
       }
@@ -583,16 +591,15 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
       if (stall_pending_ && app_->EpochPassed(stall_target_)) {
         ResolveStallIfRepassed(stall_target_);
       }
-      return app_->EpochPassed(last) || job_->control->recovery_requested();
+      return app_->EpochPassed(last) || control_->recovery_requested();
     });
-    if (job_->control->recovery_requested()) {
+    if (control_->recovery_requested()) {
       return false;
     }
     ResolveStallIfRepassed(last);
     SendStatus(kStCheckpointing, last, gen_);
-    if (!job_->control->RunCheckpointBarrier(last, write_image, write_manifest,
-                                             rebase_at_cut)) {
-      NAIAD_CHECK(job_->control->recovery_requested())
+    if (!control_->RunCheckpointBarrier(last, write_image, write_manifest, rebase_at_cut)) {
+      NAIAD_CHECK(control_->recovery_requested())
           << "cluster checkpoint failed outright";
       return false;
     }
@@ -603,7 +610,7 @@ bool MemberRunner::RunEpochs(uint64_t start_epoch) {
   ResolveStallIfRepassed(cfg_.total_epochs - 1);  // rejoin path: loop may not have run
   app_->CloseInputs();
   if (dbg) std::fprintf(stderr, "[p%u g%u] inputs closed; termination barrier\n", slot_, gen_);
-  if (!job_->control->RunTerminationBarrier()) {
+  if (!control_->RunTerminationBarrier()) {
     return false;
   }
   job_->ctl->Stop();
@@ -617,7 +624,7 @@ bool MemberRunner::PrepareSelective() {
   // inside the final checkpoint barrier can leave one survivor committed — fast local
   // fallback — while the other's barrier aborted and it still has epochs to protect).
   const auto abort = [this] {
-    job_->control->AbortSelectiveStall();
+    control_->AbortSelectiveStall();
     return false;
   };
   if (::getenv("NAIAD_SELECTIVE_FALLBACK_INJECT") != nullptr) {
@@ -635,11 +642,11 @@ bool MemberRunner::PrepareSelective() {
     // the rejoin semantics of the coordinated path handle the termination race.
     return abort();
   }
-  victim_ = job_->control->recovery_victim();
+  victim_ = control_->recovery_victim();
   if (victim_ == kNoVictim || victim_ == slot_) {
     return abort();  // nobody attributed the failure; only a coordinated restart is safe
   }
-  if (!job_->control->RunStallBarrier(victim_)) {
+  if (!control_->RunStallBarrier(victim_)) {
     return abort();  // couldn't establish a clean survivor cut; workers were resumed
   }
   // Workers are parked at the stall cut. Everything the victim sent us since the

@@ -3,11 +3,14 @@
 // This is the forked-process counterpart of src/net/cluster.h: N real OS processes, driven
 // by a single-threaded supervisor (the test parent) over pipes. Each member builds its
 // per-generation stack as the job server builds a job's: one JobContext
-// (src/net/job_context.h, job 0) over the member's TcpTransport, whose Deliver is the
-// member's only frame demux. The member starts that context's controller, paused, before
-// its transport, so no peer frame can reach it before Start(). Because the members are
-// processes, one of them can be SIGKILLed mid-epoch; the survivors then run the coordinated
-// restart that the thread-mode cluster can only simulate.
+// (src/net/job_context.h, job 0) over the member's TcpTransport, whose Deliver takes
+// every data and progress frame. Unlike a job-server job, the member also builds a
+// ClusterControl per generation, which takes every kControl frame: its barriers give the
+// survivors one agreed outcome (finished, checkpointed or restarting). The member starts
+// the context's controller, paused, before its transport, so no peer frame can reach it
+// before Start(). Because the members are processes, one of them can be SIGKILLed
+// mid-epoch; the survivors then run the coordinated restart that the thread-mode cluster
+// can only simulate.
 //
 // Protocol between a member and the supervisor (fixed 25-byte records, see
 // cluster_recovery.cc): the member announces its listen port, each epoch start, each

@@ -30,22 +30,10 @@ constexpr auto kSeedTimeout = std::chrono::seconds(30);
 }  // namespace
 
 std::vector<uint64_t> ClusterControl::SnapshotCounters() const {
-  // Job-server mode: only this job's wire traffic feeds the stability check, so another
-  // job's concurrent chatter cannot keep this barrier from stabilizing (and a quiet job
-  // cannot be declared stable while its own frames are still in flight).
-  const auto sent = [&](FrameType t) {
-    return traffic_ != nullptr
-               ? traffic_->frames_sent[static_cast<size_t>(t)].load(std::memory_order_relaxed)
-               : transport_->frames_sent(t);
-  };
-  const auto recv = [&](FrameType t) {
-    return traffic_ != nullptr ? traffic_->frames_received[static_cast<size_t>(t)].load(
-                                     std::memory_order_relaxed)
-                               : transport_->frames_received(t);
-  };
-  return {sent(FrameType::kData),        recv(FrameType::kData),
-          sent(FrameType::kProgress),    recv(FrameType::kProgress),
-          sent(FrameType::kProgressAcc), recv(FrameType::kProgressAcc)};
+  const TcpTransport& t = *transport_;
+  return {t.frames_sent(FrameType::kData),        t.frames_received(FrameType::kData),
+          t.frames_sent(FrameType::kProgress),    t.frames_received(FrameType::kProgress),
+          t.frames_sent(FrameType::kProgressAcc), t.frames_received(FrameType::kProgressAcc)};
 }
 
 std::vector<uint64_t> ClusterControl::SnapshotLinkCounters() const {
@@ -203,8 +191,9 @@ bool ClusterControl::QuietVerdict(QuietKind kind, uint64_t key,
   }
   switch (kind) {
     case QuietKind::kTermination:
-      // Deliberately unbalanced: strays that arrive after the verdict are the job
-      // server's to drop (DESIGN.md, "Stash and stray discipline").
+      // Deliberately unbalanced: every participant's drained tracker already proves no
+      // pointstamp is active anywhere; these rounds buy agreement, not safety (DESIGN.md,
+      // "Does a drained local tracker already imply global termination?").
       return true;
     case QuietKind::kCheckpoint: {
       // No frame in flight anywhere: cluster-wide sent == received per frame type
@@ -289,8 +278,7 @@ void ClusterControl::HandleQuietReport(uint32_t src, ByteReader& r) {
     w.WriteU64(round);
     w.WriteU8(ok ? 1 : 0);
   }
-  transport_->BroadcastFrame(FrameType::kControl, verdict_payload, /*include_self=*/true,
-                             job_);
+  transport_->BroadcastFrame(FrameType::kControl, verdict_payload, /*include_self=*/true);
 }
 
 void ClusterControl::NoteVictim(uint32_t victim) {
@@ -313,7 +301,7 @@ void ClusterControl::BroadcastRecover(uint32_t victim) {
   w.WriteU32(victim);
   // Includes self, which sets this process's own recovery flag; the send to the dead
   // victim fails harmlessly (its peer-down report deduplicates against the flag).
-  transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true, job_);
+  transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true);
 }
 
 void ClusterControl::ReportFailure(uint32_t victim) {
@@ -347,7 +335,7 @@ void ClusterControl::ReportFailure(uint32_t victim) {
   ByteWriter w(&payload);
   w.WriteU8(kCtlFailure);
   w.WriteU32(victim);
-  transport_->Send(coordinator, FrameType::kControl, std::move(payload), job_);
+  transport_->Send(coordinator, FrameType::kControl, std::move(payload));
 }
 
 void ClusterControl::RequestRecovery(uint32_t victim) {
@@ -381,7 +369,7 @@ void ClusterControl::AbortSelectiveStall() {
   std::vector<uint8_t> payload;
   ByteWriter w(&payload);
   w.WriteU8(kCtlStallAbort);
-  transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/false, job_);
+  transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/false);
 }
 
 bool ClusterControl::Await(const std::function<bool()>& done,
@@ -447,7 +435,7 @@ bool ClusterControl::RunQuietRounds(QuietKind kind, uint64_t key,
     for (uint64_t c : counters) {
       w.WriteU64(c);
     }
-    transport_->Send(victim == 0 ? 1 : 0, FrameType::kControl, std::move(payload), job_);
+    transport_->Send(victim == 0 ? 1 : 0, FrameType::kControl, std::move(payload));
     bool verdict = false;
     const bool got = Await(
         [&] {
@@ -509,7 +497,7 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
     w.WriteU8(kCtlSeedState);
     const std::vector<uint8_t> encoded = DistributedProgressRouter::EncodeUpdates(seeds);
     w.WriteBytes(encoded.data(), encoded.size());
-    transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true, job_);
+    transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true);
   }
   // Hold the full cut before acking; resume only after everyone does. The release is the
   // ordering root: any −delta a process emits after its release is preceded — at every
@@ -523,7 +511,7 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
     std::vector<uint8_t> payload;
     ByteWriter w(&payload);
     w.WriteU8(kCtlSeedAck);
-    transport_->Send(0, FrameType::kControl, std::move(payload), job_);
+    transport_->Send(0, FrameType::kControl, std::move(payload));
   }
   if (transport_->process_id() == 0) {
     if (!Await([&] { return seed_acks_ >= n; }, never, deadline)) {
@@ -532,7 +520,7 @@ bool ClusterControl::RunSeedExchange(const std::vector<ProgressUpdate>& seeds) {
     std::vector<uint8_t> payload;
     ByteWriter w(&payload);
     w.WriteU8(kCtlSeedRelease);
-    transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true, job_);
+    transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true);
   }
   return Await([&] { return seed_released_; }, never, deadline);
 }
@@ -562,7 +550,7 @@ bool ClusterControl::RunCheckpointBarrier(
     w.WriteU8(kCtlCkptDurable);
     w.WriteU64(epoch);
     w.WriteU8(durable ? 1 : 0);
-    transport_->Send(0, FrameType::kControl, std::move(payload), job_);
+    transport_->Send(0, FrameType::kControl, std::move(payload));
   }
 
   // Phase 3: the coordinator commits the manifest strictly after every process reported
@@ -587,7 +575,7 @@ bool ClusterControl::RunCheckpointBarrier(
     w.WriteU8(kCtlCkptCommit);
     w.WriteU64(epoch);
     w.WriteU8(commit ? 1 : 0);
-    transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true, job_);
+    transport_->BroadcastFrame(FrameType::kControl, payload, /*include_self=*/true);
   }
   bool committed = false;
   if (!Await(
@@ -614,7 +602,7 @@ bool ClusterControl::RunCheckpointBarrier(
 ClusterStats Cluster::Run(const ClusterOptions& opts, const Body& body) {
   // One-job run on the resident job server: the legacy single-dataflow entry point is now
   // just a register/wait/stop sequence, so every Cluster::Run user exercises the same
-  // demux, stash, and per-job control plane the multi-tenant path does.
+  // demux, stash, and drained-edge termination the multi-tenant path does.
   JobServer server(opts);
   server.Start();
   const JobId id = server.Submit(body);

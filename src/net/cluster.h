@@ -4,9 +4,11 @@
 // as N threads of one binary, each with its own Controller, worker pool, logical graph
 // copy (SPMD construction, §3.1), and real TCP connections to every peer. Record exchange,
 // serialization, and the distributed progress protocol all cross genuine sockets; only the
-// wire is loopback (see DESIGN.md substitution #1). The same control machinery
-// (ClusterControl) also drives the forked-process cluster of src/ft/cluster_recovery.h,
-// where each "process" really is an OS process that can be SIGKILLed.
+// wire is loopback (see DESIGN.md substitution #1). Cluster::Run is a one-job run on the
+// job server (src/net/job_server.h), whose jobs end on each process's drained tracker and
+// need no control plane. ClusterControl serves the forked-process cluster of
+// src/ft/cluster_recovery.h, where each "process" really is an OS process that can be
+// SIGKILLed, and where the survivors must agree on how a run ended.
 //
 // Every cluster-wide agreement that "nothing is happening" is one quiet-point round
 // machine (ClusterControl::RunQuietRounds). Each round, every participant brings itself to
@@ -44,10 +46,10 @@ namespace naiad {
 // Control-frame verbs (first payload byte of every kControl frame). kCtlQuietReport/
 // kCtlQuietVerdict drive every quiet-point barrier (the kind travels in the frame);
 // kCtlCkpt* finish the cluster checkpoint (the durable/commit exchange); kCtlFailure/
-// kCtlRecover drive the coordinated restart of src/ft/cluster_recovery.h;
-// kCtlRegisterJob/kCtlTeardownJob drive the job server's dynamic registration
-// (src/net/job_server.h). Shared in the header so the job server's demux can recognize
-// its verbs before any per-job ClusterControl exists.
+// kCtlRecover drive the coordinated restart of src/ft/cluster_recovery.h. Those verbs
+// belong to ClusterControl and so to the recovery member alone. kCtlRegisterJob/
+// kCtlTeardownJob are the job server's only verbs (src/net/job_server.h); its demux
+// drops a kControl frame carrying any other verb as a stray.
 inline constexpr uint8_t kCtlQuietReport = 0;
 inline constexpr uint8_t kCtlQuietVerdict = 1;
 inline constexpr uint8_t kCtlCkptDurable = 4;
@@ -160,29 +162,23 @@ struct ClusterStats {
   uint64_t send_queue_hwm_bytes = 0;   // max over processes of peak per-link queued bytes
 };
 
-// Per-process cluster control plane over kControl frames: the quiet-point round machine
-// and its three barriers (termination, checkpoint, survivor stall), the checkpoint's
-// durable/commit exchange, the selective seed exchange, and failure/recovery signalling.
-// One instance per (Controller, TcpTransport) generation; recovery tears it down with the
-// rest and builds a fresh one. A barrier's coordinator is its lowest participant (process
-// 0, or 1 when the stall victim is 0); failure reports go to the lowest-ranked survivor.
+// Per-process cluster control plane over kControl frames, for the kill-and-recover
+// member (src/ft/cluster_recovery.h): the quiet-point round machine and its three
+// barriers (termination, checkpoint, survivor stall), the checkpoint's durable/commit
+// exchange, the selective seed exchange, and failure/recovery signalling. One instance
+// per (Controller, TcpTransport) generation, over the transport's own counters; recovery
+// tears it down with the rest and builds a fresh one. A barrier's coordinator is its
+// lowest participant (process 0, or 1 when the stall victim is 0); failure reports go to
+// the lowest-ranked survivor.
 class ClusterControl {
  public:
-  // In job-server mode each job gets its own instance: `job` tags every control frame this
-  // instance emits (the server demuxes them back), and `traffic` — the job's wire-traffic
-  // accounting — replaces the transport's global counters in the barrier's stability
-  // checks, so concurrent jobs' traffic cannot keep each other's barriers from
-  // stabilizing. The finished_ latch below is therefore per-job by construction: one job's
-  // termination verdict never stops the server from accepting reports for another.
-  ClusterControl(Controller* ctl, TcpTransport* transport,
-                 DistributedProgressRouter* router, uint32_t job = 0,
-                 JobTraffic* traffic = nullptr)
-      : ctl_(ctl), transport_(transport), router_(router), job_(job), traffic_(traffic) {}
+  ClusterControl(Controller* ctl, TcpTransport* transport, DistributedProgressRouter* router)
+      : ctl_(ctl), transport_(transport), router_(router) {}
   ClusterControl(const ClusterControl&) = delete;
   ClusterControl& operator=(const ClusterControl&) = delete;
 
-  // Wire to TcpTransport::Callbacks.on_control. Runs on receive threads (or inline for
-  // self-sends).
+  // Handles every kControl frame the member's transport receives. Runs on receive
+  // threads (or inline for self-sends).
   void HandleControl(uint32_t src, std::span<const uint8_t> payload);
 
   // Wire to TcpTransport::Callbacks.on_peer_down (kill-and-recover harness only; the
@@ -193,7 +189,7 @@ class ClusterControl {
   // Requests recovery directly (supervisor hint path), as if a kRecover frame arrived.
   // The hint may carry the victim (selective mode needs it even when the in-band
   // broadcast was lost).
-  void RequestRecovery(uint32_t victim = kNoVictim);
+  void RequestRecovery(uint32_t victim);
 
   // Selective mode: failure broadcasts carry the victim (kCtlSelectiveRecover), and the
   // stall/seed machinery below becomes live. Set once, right after construction.
@@ -326,8 +322,6 @@ class ClusterControl {
   Controller* ctl_;
   TcpTransport* transport_;
   DistributedProgressRouter* router_;
-  uint32_t job_;
-  JobTraffic* traffic_;
 
   std::atomic<bool> finished_{false};
   std::atomic<bool> recovery_requested_{false};
@@ -359,8 +353,9 @@ class ClusterControl {
 class Cluster {
  public:
   // `body(ctl)` runs once per process on its own thread (SPMD): build the dataflow, call
-  // ctl.Start(), drive the inputs, and call ctl.Join(). Join participates in the global
-  // termination barrier before stopping workers. Returns aggregate traffic statistics.
+  // ctl.Start(), drive the inputs, and call ctl.Join(). Join returns once this process's
+  // tracker has drained, which means the whole cluster has (§3.3). Returns aggregate
+  // traffic statistics.
   // Implemented as a one-job run on the resident JobServer (src/net/job_server.h).
   using Body = std::function<void(Controller&)>;
   static ClusterStats Run(const ClusterOptions& opts, const Body& body);

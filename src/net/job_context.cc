@@ -14,31 +14,15 @@ JobContext::JobContext(const Config& cfg, TcpTransport* transport,
   router->SetJobAccounting(job, &traffic);
   ctl->SetProgressRouter(router.get());
   ctl->SetDataTransport(&data);
-  control = std::make_unique<ClusterControl>(ctl.get(), transport, router.get(), job,
-                                             job != 0 ? &traffic : nullptr);
 }
 
-void JobContext::Deliver(FrameType type, uint32_t src, std::span<const uint8_t> payload,
-                         bool wire) {
-  switch (type) {
-    case FrameType::kData:
-      ctl->ReceiveRemoteBundle(payload);
-      break;
-    case FrameType::kProgress:
-      router->OnProgressFrame(src, payload);
-      break;
-    case FrameType::kProgressAcc:
-      router->OnAccumulatorFrame(src, payload);
-      break;
-    case FrameType::kControl:
-      control->HandleControl(src, payload);
-      break;
-  }
-  if (wire) {
-    // Counted after delivery, mirroring the transport's global counters: a counted
-    // received frame is already visible to the job's quiet probes.
-    traffic.frames_received[static_cast<size_t>(type)].fetch_add(1,
-                                                                 std::memory_order_relaxed);
+void JobContext::Deliver(FrameType type, uint32_t src, std::span<const uint8_t> payload) {
+  if (type == FrameType::kData) {
+    ctl->ReceiveRemoteBundle(payload);
+  } else if (type == FrameType::kProgress) {
+    router->OnProgressFrame(src, payload);
+  } else if (type == FrameType::kProgressAcc) {
+    router->OnAccumulatorFrame(src, payload);
   }
 }
 

@@ -1,10 +1,13 @@
-// One dataflow's stack on one process, and the only way a frame enters it.
+// One dataflow's stack on one process, and the only way a data or progress frame enters it.
 //
 // Both owners of a live dataflow build it here: the job server (src/net/job_server.h), one
 // context per registered job on every process, and the kill-and-recover member
 // (src/ft/cluster_recovery.h), one context (job 0) per generation. The context wires a
-// Controller to the shared TcpTransport through a DistributedProgressRouter, a
-// ClusterControl and a data adapter that tags the job id; Deliver is the one frame demux.
+// Controller to the shared TcpTransport through a DistributedProgressRouter and a data
+// adapter that tags the job id; Deliver is the one demux for data and progress frames.
+// Control frames never reach it: the job server handles its own register and teardown
+// verbs, and the member, the only owner with a control plane, routes the rest to its own
+// barriers (src/ft/cluster_recovery.cc).
 //
 // Admission rule (§3.1, §3.3): every process builds the same graph, but a peer's frame can
 // reach this process before its Controller::Start() has frozen the graph, instantiated the
@@ -23,24 +26,21 @@
 #include <vector>
 
 #include "src/core/controller.h"
-#include "src/net/cluster.h"
 #include "src/net/progress_router.h"
 #include "src/net/transport.h"
 
 namespace naiad {
 
 struct JobContext {
-  // Builds the controller from `cfg` and wires it to `transport`. Job 0 (the forked
-  // member's single job) keeps its barriers on the transport's own counters: the member's
-  // outbound-log tap and replay dedup update only those, never this context's traffic.
+  // Builds the controller from `cfg` and wires it to `transport`.
   JobContext(const Config& cfg, TcpTransport* transport, ProgressStrategy strategy,
              ClusterFaultPlan* fault_plan, uint32_t job);
   JobContext(const JobContext&) = delete;
   JobContext& operator=(const JobContext&) = delete;
 
-  // Hands one frame of this job to its controller, router or control plane. Only after
+  // Hands one data or progress frame of this job to its controller or router. Only after
   // ctl->Start() (see the admission rule above).
-  void Deliver(FrameType type, uint32_t src, std::span<const uint8_t> payload, bool wire);
+  void Deliver(FrameType type, uint32_t src, std::span<const uint8_t> payload);
 
   const uint32_t id;
   JobTraffic traffic;
@@ -59,7 +59,6 @@ struct JobContext {
 
   std::unique_ptr<Controller> ctl;
   std::unique_ptr<DistributedProgressRouter> router;
-  std::unique_ptr<ClusterControl> control;
 
   // Job server only: flips true once the controller has started and the server's stash
   // for this job has been replayed; the demux delivers directly only after that.

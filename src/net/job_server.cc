@@ -34,7 +34,6 @@ struct JobServer::ProcessState {
   struct StashedFrame {
     FrameType type;
     uint32_t src;
-    bool wire;
     std::vector<uint8_t> payload;
   };
   struct Stash {
@@ -57,10 +56,10 @@ struct JobServer::ProcessState {
 namespace {
 
 // Re-entrancy guard for the demux. Delivering a frame can synchronously emit another
-// frame to self (a coordinator broadcasting a verdict, the central accumulator flushing),
-// which dispatches inline back into OnFrame on the same thread. Re-acquiring the shared
-// jobs lock there can deadlock against a writer already waiting between the two
-// acquisitions, so nested entries reuse the outer hold instead.
+// frame to self (the central accumulator flushing a peer's batch), which dispatches
+// inline back into OnFrame on the same thread. Re-acquiring the shared jobs lock there
+// can deadlock against a writer already waiting between the two acquisitions, so nested
+// entries reuse the outer hold instead.
 thread_local const void* t_jobs_shared_held = nullptr;
 
 class JobsSharedScope {
@@ -143,8 +142,8 @@ void JobServer::Start() {
     ProcessState& ps = *procs_[p];
     TcpTransport::Callbacks cb;
     cb.on_frame = [this, &ps](FrameType type, uint32_t src, uint32_t job,
-                              std::span<const uint8_t> payload, bool wire) {
-      OnFrame(ps, type, src, job, payload, wire);
+                              std::span<const uint8_t> payload) {
+      OnFrame(ps, type, src, job, payload);
     };
     // No on_peer_down: in thread mode nothing can die out from under the server.
     ps.transport->Start(ports, std::move(cb));
@@ -189,13 +188,14 @@ void JobServer::Wait(JobId id) {
 }
 
 void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
-                        std::span<const uint8_t> payload, bool wire) {
-  if (type == FrameType::kControl && !payload.empty() &&
-      (payload[0] == kCtlRegisterJob || payload[0] == kCtlTeardownJob)) {
-    if (payload[0] == kCtlRegisterJob) {
+                        std::span<const uint8_t> payload) {
+  if (type == FrameType::kControl) {
+    if (!payload.empty() && payload[0] == kCtlRegisterJob) {
       HandleRegister(ps, job);
-    } else {
+    } else if (!payload.empty() && payload[0] == kCtlTeardownJob) {
       HandleTeardown(ps, job);
+    } else {
+      DropStray(ps, type, src, job);  // a job has no control plane to hand it to
     }
     return;
   }
@@ -206,45 +206,42 @@ void JobServer::OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t
     auto it = ps.jobs.find(job);
     if (it != ps.jobs.end() &&
         it->second->accepting.load(std::memory_order_acquire)) {
-      it->second->Deliver(type, src, payload, wire);
+      it->second->Deliver(type, src, payload);
       return;
     }
-    StashOrDrop(ps, type, src, job, payload, wire);
+    StashOrDrop(ps, type, src, job, payload);
     return;
   }
 
   JobsSharedScope scope(ps.jobs_mu, &ps);
   auto it = ps.jobs.find(job);
   if (it != ps.jobs.end() && it->second->accepting.load(std::memory_order_acquire)) {
-    it->second->Deliver(type, src, payload, wire);
+    it->second->Deliver(type, src, payload);
     return;
   }
-  StashOrDrop(ps, type, src, job, payload, wire);
+  StashOrDrop(ps, type, src, job, payload);
 }
 
 // Slow path: the job has no accepting context here. Requires shared hold of ps.jobs_mu
 // (direct or via the re-entrancy guard). A frame for a retired or never-announced job is
 // dropped deterministically — counted and traced, never handed to freed vertices; a frame
 // for a job whose controller has not started here is stashed for in-order replay
-// (bounded while the job is not yet registered). Control frames are stashed too: a late
-// barrier verdict must survive the registration race or the job would hang.
+// (bounded while the job is not yet registered). Only data and progress frames get here.
 void JobServer::StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
-                            std::span<const uint8_t> payload, bool wire) {
+                            std::span<const uint8_t> payload) {
   std::lock_guard<std::mutex> lock(ps.stash_mu);
   // Re-check under stash_mu: OpenGate flips `accepting` under it, strictly after
   // replaying the stash, so whichever side wins this lock preserves arrival order.
   auto it = ps.jobs.find(job);
   const bool registered = it != ps.jobs.end();
   if (registered && it->second->accepting.load(std::memory_order_acquire)) {
-    it->second->Deliver(type, src, payload, wire);
+    it->second->Deliver(type, src, payload);
     return;
   }
   const bool known =
       job != 0 && job < next_job_hint_.load(std::memory_order_acquire);
   if (ps.retired.count(job) != 0 || !known) {
-    ps.stray_dropped.fetch_add(1, std::memory_order_relaxed);
-    ps.obs->tracer().Control(obs::TraceKind::kStrayFrame, job, src,
-                             static_cast<uint64_t>(type));
+    DropStray(ps, type, src, job);
     return;
   }
   ProcessState::Stash& s = ps.stash[job];
@@ -256,7 +253,13 @@ void JobServer::StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint
   }
   s.bytes += payload.size();
   s.frames.push_back(ProcessState::StashedFrame{
-      type, src, wire, std::vector<uint8_t>(payload.begin(), payload.end())});
+      type, src, std::vector<uint8_t>(payload.begin(), payload.end())});
+}
+
+void JobServer::DropStray(ProcessState& ps, FrameType type, uint32_t src, uint32_t job) {
+  ps.stray_dropped.fetch_add(1, std::memory_order_relaxed);
+  ps.obs->tracer().Control(obs::TraceKind::kStrayFrame, job, src,
+                           static_cast<uint64_t>(type));
 }
 
 void JobServer::HandleRegister(ProcessState& ps, JobId job) {
@@ -278,8 +281,11 @@ void JobServer::HandleRegister(ProcessState& ps, JobId job) {
   cfg.host_pool = ps.pool.get();
   auto ctx = std::make_shared<JobContext>(cfg, ps.transport.get(), opts_.strategy,
                                           opts_.fault_plan, job);
-  ClusterControl* control = ctx->control.get();
-  ctx->ctl->SetQuiesceHook([control] { control->RunTerminationBarrier(); });
+  // Termination on the drained edge: Join has seen this process's tracker drain, which
+  // (with every tracker seeded alike, §3.3) means no pointstamp is active anywhere once
+  // this process's own held updates are out (DESIGN.md, *Cluster recovery*).
+  DistributedProgressRouter* router = ctx->router.get();
+  ctx->ctl->SetQuiesceHook([router] { router->FlushAll(); });
   // The context owns the controller that owns the hook, so a raw pointer cannot dangle.
   JobContext* raw = ctx.get();
   ctx->ctl->SetStartHook([this, &ps, raw] { OpenGate(ps, *raw); });
@@ -315,7 +321,7 @@ void JobServer::OpenGate(ProcessState& ps, JobContext& ctx) {
       sit->second.bytes = 0;
     }
     for (ProcessState::StashedFrame& f : frames) {
-      ctx.Deliver(f.type, f.src, f.payload, f.wire);
+      ctx.Deliver(f.type, f.src, f.payload);
     }
   }
 }
@@ -332,10 +338,8 @@ void JobServer::HandleTeardown(ProcessState& ps, JobId job) {
   if (ctx == nullptr) {
     return;  // already completed here (teardown cannot precede register: per-link FIFO)
   }
-  // Isolated teardown: interrupt a barrier the job may be blocked in, then cancel its
-  // Join. The driver then retires the context exactly as on normal completion; peers do
-  // the same when their copy of the teardown arrives.
-  ctx->control->RequestRecovery();
+  // Isolated teardown: cancel the job's Join. The driver then retires the context exactly
+  // as on normal completion; peers do the same when their copy of the teardown arrives.
   ctx->ctl->RequestCancel();
 }
 

@@ -8,11 +8,10 @@
 //
 //   - Each job gets its own JobContext (src/net/job_context.h, shared with the
 //     kill-and-recover member): a Controller (graph, tracker with its own epoch space,
-//     input stages, vertices, keep-alive holders), DistributedProgressRouter, and
-//     ClusterControl, so frontiers, epochs, and termination barriers never mix across
-//     jobs. The per-job ClusterControl also makes completion per-job: one job's
-//     termination verdict latches only its own finished_ flag, so the server keeps
-//     accepting reports and registrations afterwards.
+//     input stages, vertices, keep-alive holders) and a DistributedProgressRouter, so
+//     frontiers and epochs never mix across jobs. A job has no control plane: it ends
+//     on each process when that process's tracker drains (§3.3), with no cluster-wide
+//     rounds, and a kControl frame with any verb but register or teardown is a stray.
 //   - Each process has one HostPool (src/core/host_pool.h): host thread k drives worker
 //     k of every running job (one scheduling pass per job per tick), preserving the
 //     one-owner-thread contract each Worker assumes.
@@ -30,8 +29,8 @@
 //
 // Job lifecycle: registering (announced, context under construction) → registered (body
 // building its graph; frames held) → running (started, stash replayed, context accepting)
-// → draining (termination barrier, or cancelled by teardown) → torn down (context
-// retired; subsequent frames are stray).
+// → draining (Join waits for the drained tracker, or is cancelled by teardown) → torn down
+// (context retired; subsequent frames are stray).
 //
 // Cluster::Run is now a thin wrapper: Start → Submit(body) → Wait → Stop.
 
@@ -79,9 +78,8 @@ class JobServer {
   // the job runs concurrently with any other registered job.
   JobId Submit(Body body);
 
-  // Requests isolated teardown: interrupts the job's barrier, cancels its Join, and
-  // retires its context on every process. Other jobs are unaffected. No-op if the job
-  // already completed.
+  // Requests isolated teardown: cancels the job's Join and retires its context on every
+  // process. Other jobs are unaffected. No-op if the job already completed.
   void Teardown(JobId id);
 
   // Blocks until the job's context has been retired on every process (normal completion
@@ -104,9 +102,10 @@ class JobServer {
   struct ProcessState;
 
   void OnFrame(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
-               std::span<const uint8_t> payload, bool wire);
+               std::span<const uint8_t> payload);
   void StashOrDrop(ProcessState& ps, FrameType type, uint32_t src, uint32_t job,
-                   std::span<const uint8_t> payload, bool wire);
+                   std::span<const uint8_t> payload);
+  void DropStray(ProcessState& ps, FrameType type, uint32_t src, uint32_t job);
   void HandleRegister(ProcessState& ps, JobId job);
   void OpenGate(ProcessState& ps, JobContext& ctx);
   void HandleTeardown(ProcessState& ps, JobId job);

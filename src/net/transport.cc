@@ -323,7 +323,7 @@ void TcpTransport::BroadcastFrame(FrameType type, const std::vector<uint8_t>& pa
 
 void TcpTransport::Dispatch(FrameType type, uint32_t src, uint32_t job,
                             std::span<const uint8_t> payload, bool count) {
-  cb_.on_frame(type, src, job, payload, count);
+  cb_.on_frame(type, src, job, payload);
   // Counted strictly after the callback ran: the cluster checkpoint barrier's in-flight
   // accounting relies on every counted-received frame being fully delivered (e.g. already
   // enqueued in a worker inbox, where the local quiet probe can see it). Inline

@@ -90,25 +90,22 @@ struct LinkPolicy {
   bool shed_data = false;
 };
 
-// Per-job wire-traffic accounting (multi-tenant job server). The transport credits the
-// sending job's counters at enqueue time, exactly where the global counters are bumped;
-// the receiving side's demux credits frames_received after delivery. Indexed by
-// static_cast<size_t>(FrameType).
+// Per-job wire-traffic accounting (multi-tenant job server's per-job stats). The
+// transport credits the sending job's counters at enqueue time, exactly where the global
+// counters are bumped. Indexed by static_cast<size_t>(FrameType).
 struct JobTraffic {
   std::atomic<uint64_t> frames_sent[kNumFrameTypes] = {};
   std::atomic<uint64_t> bytes_sent[kNumFrameTypes] = {};
-  std::atomic<uint64_t> frames_received[kNumFrameTypes] = {};
 };
 
 class TcpTransport final : public DataTransport {
  public:
   struct Callbacks {
     // Single dispatch arm for every frame type. `job` is the frame header's job id (0
-    // for single-job/legacy senders); `wire` distinguishes frames that crossed a socket
-    // from inline self-dispatches (the latter are never counted as received — see
-    // Dispatch). Runs on receive threads, or inline on the sender for self-sends.
+    // for single-job/legacy senders). Runs on receive threads, or inline on the sender
+    // for self-sends.
     std::function<void(FrameType type, uint32_t src, uint32_t job,
-                       std::span<const uint8_t> payload, bool wire)>
+                       std::span<const uint8_t> payload)>
         on_frame;
     // Failure detection (optional). Fired from a sender or receiver thread when a link
     // dies outside Shutdown(): write failure, boundary EOF/ECONNRESET, or a torn frame.

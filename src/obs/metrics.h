@@ -178,8 +178,10 @@ struct alignas(64) ProcessMetrics {
   std::atomic<uint64_t> cluster_checkpoints{0};  // committed cluster checkpoint epochs
   std::atomic<uint64_t> barrier_rounds{0};       // quiet-point rounds, every barrier kind
   std::atomic<uint64_t> cluster_recoveries{0};   // coordinated restarts participated in
-  // Idle worker/host waits that ended on kIdleBackstop instead of a notify. Each one is a
-  // lost wakeup or a host with nothing to do; a growing count with live work is a bug.
+  // Host waits that ended on kIdleBackstop instead of a notify, with a live worker, and
+  // after which the host ran work before it parked again: it slept through work it had,
+  // a lost wakeup. An expiry that finds nothing to run (a host whose peers were
+  // descheduled, or that had nothing to do) is not counted; a nonzero count is a bug.
   std::atomic<uint64_t> idle_backstop_expiries{0};
 
   // Per-scope progress tracking (ProgressTracker::Stats, stored once at Stop()).

@@ -229,10 +229,11 @@ TEST(JobServerTest, JobsRegisteredAtDifferentTimesRunConcurrently) {
   EXPECT_EQ(stats.stash_overflow_drops, 0u);
 }
 
-// Regression for the completion latch: ClusterControl's finished_ flag used to be
+// Regression for the completion latch: a control plane's finished_ flag used to be
 // effectively server-global, so the first job's termination verdict left the control
 // plane considering everything finished and a job registered afterwards hung in its
-// barrier. Registration after a completed job must work indefinitely.
+// barrier. Jobs no longer have a control plane; registration after a completed job must
+// still work indefinitely.
 TEST(JobServerTest, JobRegistersAndRunsAfterPreviousJobFinished) {
   JobServer server(ServerOptions());
   server.Start();
@@ -255,9 +256,63 @@ TEST(JobServerTest, JobRegistersAndRunsAfterPreviousJobFinished) {
   }
 }
 
+// Termination on the drained edge: back-to-back tiny jobs (one input, three records per
+// process, one epoch) end without a single control round. The only control frames on
+// the wire are process 0's register announcements, no frame is a stray (a job that
+// retired before a peer's last frame arrived would show up here), and every count is
+// exact.
+TEST(JobServerTest, BackToBackJobsEndWithoutControlRounds) {
+  constexpr uint64_t kJobs = 50;
+  constexpr uint64_t kRecords = 3;
+  JobServer server(ServerOptions());  // metrics on
+  server.Start();
+  for (uint64_t j = 0; j < kJobs; ++j) {
+    JobResult r;
+    const uint64_t salt = 100 + j;
+    const JobId id = server.Submit([&r, salt](Controller& ctl) {
+      GraphBuilder b(ctl);
+      InputHandle<uint64_t>* handle = BuildCountGraph(ctl, b, &r);
+      ctl.Start();
+      const uint32_t pid = ctl.config().process_id;
+      std::vector<uint64_t> data;
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        data.push_back(Record(salt, pid, 0, i));
+      }
+      handle->OnNext(std::move(data));
+      handle->OnCompleted();
+      ctl.Join();
+    });
+    server.Wait(id);
+    std::map<uint64_t, uint64_t> want;
+    for (uint32_t pid = 0; pid < kProcesses; ++pid) {
+      for (uint64_t i = 0; i < kRecords; ++i) {
+        ++want[Record(salt, pid, 0, i)];
+      }
+    }
+    EXPECT_EQ(r.counts, want) << "job " << id;
+  }
+  const ClusterStats stats = server.Stop();
+
+  EXPECT_EQ(stats.obs.counter("barrier_rounds"), 0u);
+  // Process 0 announces each job to every peer; its own copy dispatches inline and is
+  // not counted. No other process sends a control frame.
+  EXPECT_EQ(server.transport(0).frames_sent(FrameType::kControl), kJobs * (kProcesses - 1));
+  for (uint32_t p = 1; p < kProcesses; ++p) {
+    EXPECT_EQ(server.transport(p).frames_sent(FrameType::kControl), 0u) << "process " << p;
+  }
+  EXPECT_EQ(stats.stray_frames_dropped, 0u);
+  EXPECT_EQ(stats.stash_overflow_drops, 0u);
+  ASSERT_EQ(stats.jobs.size(), kJobs);
+  for (const auto& js : stats.jobs) {
+    EXPECT_FALSE(js.torn_down);
+  }
+}
+
 // Stray-frame regression: frames addressed to a torn-down job, or to a job id no
 // registration ever allocated, are dropped deterministically — counted, and the server
-// keeps serving new jobs afterwards.
+// keeps serving new jobs afterwards. So is a control frame for a live job whose verb is
+// neither register nor teardown: a job has no control plane, and network bytes must
+// never abort the process.
 TEST(JobServerTest, FramesForRetiredAndUnknownJobsAreDroppedAndCounted) {
   JobServer server(ServerOptions());
   server.Start();
@@ -266,7 +321,7 @@ TEST(JobServerTest, FramesForRetiredAndUnknownJobsAreDroppedAndCounted) {
   server.Wait(j1);
 
   // A late frame for the retired job, injected raw at the transport layer (the shape a
-  // slow peer's post-verdict straggler takes), and one for a never-allocated id.
+  // slow peer's straggler would take), and one for a never-allocated id.
   ByteWriter w1;
   w1.WriteU32(42);
   server.transport(1).Send(0, FrameType::kData, std::move(w1.buffer()), j1);
@@ -274,17 +329,31 @@ TEST(JobServerTest, FramesForRetiredAndUnknownJobsAreDroppedAndCounted) {
   w2.WriteU32(43);
   server.transport(1).Send(0, FrameType::kData, std::move(w2.buffer()), 9999);
 
-  // The drops are isolated: a job registered afterwards runs to completion.
-  const JobId j2 = server.Submit(CountBody(4, &r2));
+  // The drops are isolated: a job registered afterwards runs to completion. Process 1
+  // starts j2 only after a raw control frame with an unknown verb went to j2 on process
+  // 0, where Submit has already registered j2 (process 0's copy of the announcement
+  // dispatches inline), so the frame reaches a live job.
+  std::promise<void> sent;
+  std::shared_future<void> control_sent = sent.get_future().share();
+  const JobId j2 = server.Submit([&](Controller& ctl) {
+    if (ctl.config().process_id == 1) {
+      control_sent.wait();
+    }
+    CountBody(4, &r2)(ctl);
+  });
+  server.transport(1).Send(0, FrameType::kControl, std::vector<uint8_t>{0xee, 1, 2, 3}, j2);
+  sent.set_value();
   server.Wait(j2);
-  // No polling needed: both strays went onto link 1→0 before j2 existed, and process 1's
-  // termination reports for j2 travel behind them on the same per-link FIFO. Process 0's
-  // verdict needs those reports, so once j2 has retired everywhere both strays have been
-  // dispatched — and counted.
+  // No polling needed: all three strays went onto link 1→0 before process 1 started j2,
+  // and process 1's progress for j2 travels behind them on the same per-link FIFO.
+  // Process 0's tracker cannot drain j2 until that progress has arrived, so once j2 has
+  // retired everywhere all three strays have been dispatched — and counted.
   EXPECT_GE(server.stray_frames_dropped(), 2u);
   const ClusterStats stats = server.Stop();
   EXPECT_EQ(r2.counts, ExpectedCounts(4, kEpochs));
   EXPECT_GE(stats.stray_frames_dropped, 2u);
+  // Exactly these three: a drained job leaves no straggler behind.
+  EXPECT_EQ(stats.stray_frames_dropped, 3u);
 }
 
 // The frame gate: a registered job's frames wait in the server's stash until its

@@ -104,7 +104,7 @@ TEST(TransportTest, MeshDeliversFramesFifoPerPair) {
     starters.emplace_back([&, p] {
       TcpTransport::Callbacks cb;
       cb.on_frame = [&, p](FrameType type, uint32_t src, uint32_t /*job*/,
-                           std::span<const uint8_t> payload, bool /*wire*/) {
+                           std::span<const uint8_t> payload) {
         if (type != FrameType::kData) {
           return;
         }
@@ -167,7 +167,7 @@ TEST(TransportTest, DroppedFramesOnClosedLinkAreNotCounted) {
   for (uint32_t p = 0; p < kProcs; ++p) {
     starters.emplace_back([&, p] {
       TcpTransport::Callbacks cb;
-      cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>, bool) {};
+      cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>) {};
       transports[p]->Start(ports, std::move(cb));
     });
   }
@@ -347,7 +347,7 @@ TEST(TransportTest, HeartbeatLeaseDeclaresSilentPeerDown) {
   policies[1].heartbeat_timeout_ms = 200;
   auto cb_fn = [&](uint32_t p) {
     TcpTransport::Callbacks cb;
-    cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>, bool) {};
+    cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>) {};
     if (p == 1) {
       cb.on_peer_down = [&](uint32_t peer) {
         down_peer.Update([&](std::optional<uint32_t>& d) { d = peer; });
@@ -379,7 +379,7 @@ TEST(TransportTest, HeartbeatsRenewLeaseAcrossIdlePeriods) {
   }
   auto cb_fn = [&](uint32_t) {
     TcpTransport::Callbacks cb;
-    cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>, bool) {};
+    cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>) {};
     cb.on_peer_down = [&](uint32_t) { downs.fetch_add(1); };
     return cb;
   };
@@ -446,8 +446,7 @@ TEST(TransportTest, SlowReceiverSoakKeepsSendQueueBounded) {
     }
     auto cb_fn = [&](uint32_t p) {
       TcpTransport::Callbacks cb;
-      cb.on_frame = [&, p](FrameType type, uint32_t, uint32_t,
-                           std::span<const uint8_t>, bool) {
+      cb.on_frame = [&, p](FrameType type, uint32_t, uint32_t, std::span<const uint8_t>) {
         if (p != 1) {
           return;
         }
@@ -518,8 +517,7 @@ TEST(TransportTest, CreditWindowThrottlesToReceiverConsumption) {
   policies[0].credit_window_bytes = 4 * 1024;
   auto cb_fn = [&](uint32_t p) {
     TcpTransport::Callbacks cb;
-    cb.on_frame = [&, p](FrameType type, uint32_t, uint32_t, std::span<const uint8_t>,
-                         bool) {
+    cb.on_frame = [&, p](FrameType type, uint32_t, uint32_t, std::span<const uint8_t>) {
       if (p == 1 && type == FrameType::kData) {
         std::this_thread::sleep_for(std::chrono::microseconds(500));
         data_got.Update([](uint32_t& n) { ++n; });
@@ -554,8 +552,7 @@ TEST(TransportTest, ShedModeDropsOnlyDataAndCountsEveryDrop) {
   policies[0].shed_data = true;
   auto cb_fn = [&](uint32_t p) {
     TcpTransport::Callbacks cb;
-    cb.on_frame = [&, p](FrameType type, uint32_t, uint32_t, std::span<const uint8_t>,
-                         bool) {
+    cb.on_frame = [&, p](FrameType type, uint32_t, uint32_t, std::span<const uint8_t>) {
       if (p != 1) {
         return;
       }
@@ -655,7 +652,7 @@ class RecvHarness {
     port_ = my_port;
     TcpTransport::Callbacks cb;
     cb.on_frame = [this](FrameType type, uint32_t src, uint32_t /*job*/,
-                         std::span<const uint8_t> payload, bool /*wire*/) {
+                         std::span<const uint8_t> payload) {
       if (type != FrameType::kData) {
         return;
       }
@@ -959,7 +956,7 @@ TEST(TransportTest, ShutdownUnblocksStalledHandshake) {
   TcpTransport t(0, 1);  // no peers, but the acceptor loop still runs
   const uint16_t port = t.Listen();
   TcpTransport::Callbacks cb;
-  cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>, bool) {};
+  cb.on_frame = [](FrameType, uint32_t, uint32_t, std::span<const uint8_t>) {};
   t.Start({port}, std::move(cb));
   Socket silent = Socket::ConnectLocal(port);
   ASSERT_TRUE(silent.valid());
@@ -1248,7 +1245,8 @@ TEST(QuietVerdictTest, CheckpointRejectsUnbalancedSumsTerminationDoesNot) {
     r.round = 1;
   }
   EXPECT_FALSE(ClusterControl::QuietVerdict(QuietKind::kCheckpoint, 0, cur, prev));
-  // Termination has no balance clause: post-verdict strays are the job server's to drop.
+  // Termination has no balance clause: each participant's drained tracker already rules
+  // out live traffic, and the rounds only make the participants agree.
   EXPECT_TRUE(ClusterControl::QuietVerdict(QuietKind::kTermination, 0, cur, prev));
 }
 

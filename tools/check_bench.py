@@ -8,7 +8,9 @@ that share a key are repeated trials and are reduced to their median. A row is
 compared on ``records_per_sec`` (higher is better) and regresses when the fresh
 value falls below ``baseline * (1 - threshold)``; a row without it, such as a
 BENCH_recovery.json trial, is compared on ``survivor_stall_s`` (lower is
-better) and regresses when the fresh value exceeds ``baseline * (1 + threshold)``.
+better) and regresses when the fresh value exceeds ``baseline * (1 + threshold)``;
+a BENCH_job_turnaround.json trial is compared on ``jobs_per_sec`` (higher is
+better).
 
 The CI perf-smoke job runs this record-only: regressions print WARN and the
 exit code stays 0 unless --strict is given, because a one-core CI runner is
@@ -26,7 +28,7 @@ import statistics
 import sys
 
 # The compared metric of a row, in order of preference, and whether higher is better.
-METRICS = (("records_per_sec", True), ("survivor_stall_s", False))
+METRICS = (("records_per_sec", True), ("survivor_stall_s", False), ("jobs_per_sec", True))
 
 
 def row_key(row):

@@ -84,5 +84,29 @@ class RecoveryRowsTest(unittest.TestCase):
         self.assertIn("OK: 2 rows within threshold", out.getvalue())
 
 
+class JobTurnaroundRowsTest(unittest.TestCase):
+    DOC = {
+        "runs": [
+            {
+                "label": label,
+                "rows": [
+                    {"kind": "turnaround", "processes": 2, "p50_us": 1e6 / r, "jobs_per_sec": r}
+                    for r in rates
+                ],
+            }
+            for label, rates in (("pre", (2000.0, 2100.0, 1900.0)), ("post", (3000.0, 3300.0)))
+        ]
+    }
+
+    def test_trials_reduce_to_the_median_rate(self):
+        key = (("kv", "turnaround/processes=2"), "jobs_per_sec")
+        self.assertEqual(check_bench.rows_by_key(self.DOC, "pre"), {key: 2000.0})
+        self.assertEqual(check_bench.rows_by_key(self.DOC, "post"), {key: 3150.0})
+
+    def test_higher_rate_is_better(self):
+        self.assertFalse(check_bench.regressed("jobs_per_sec", 3150.0, 2000.0, 0.1))
+        self.assertTrue(check_bench.regressed("jobs_per_sec", 1500.0, 2000.0, 0.1))
+
+
 if __name__ == "__main__":
     unittest.main()
