@@ -188,9 +188,13 @@ void Controller::PauseAndDrain() {
   while (true) {
     const EventCount::Ticket ticket = event().PrepareWait();
     // Workers only park with empty local queues, so parked == N plus empty inboxes means
-    // no message can be in flight anywhere in this process.
-    if (parked_.load(std::memory_order_acquire) == cfg_.workers_per_process &&
-        InboxesEmpty()) {
+    // no message can be in flight anywhere in this process — if both readings hold at
+    // once. They are separate reads: a parked worker can unpark and pop its last message
+    // between them, and would then run it while we return. No unpark across the whole
+    // check makes it one snapshot (see NoteWorkerUnparked for the order it relies on).
+    const uint64_t unparks = unparks_.load();
+    if (parked_.load() == cfg_.workers_per_process && InboxesEmpty() &&
+        unparks_.load() == unparks) {
       return;
     }
     event().CommitWait(ticket);

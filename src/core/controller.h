@@ -199,7 +199,12 @@ class Controller {
     parked_.fetch_add(1, std::memory_order_acq_rel);
     event().NotifyAll();
   }
-  void NoteWorkerUnparked() { parked_.fetch_sub(1, std::memory_order_acq_rel); }
+  // The unpark is counted after the parked total drops and before the worker pops a
+  // message; PauseAndDrain's snapshot check relies on both orders (seq_cst).
+  void NoteWorkerUnparked() {
+    parked_.fetch_sub(1);
+    unparks_.fetch_add(1);
+  }
 
   // Local-quiescence probe for the cluster checkpoint barrier: no worker inbox holds an
   // undelivered item. Racy by nature — callers must re-check across barrier rounds (the
@@ -240,6 +245,7 @@ class Controller {
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> pause_{false};
   std::atomic<uint32_t> parked_{0};
+  std::atomic<uint64_t> unparks_{0};  // lifetime count of NoteWorkerUnparked calls
 };
 
 }  // namespace naiad

@@ -224,7 +224,8 @@ bool Worker::PausedPass() {
   // §3.4: deliver outstanding messages, never notifications or purges, and park. A parked
   // worker stays parked across wakeups meant for others (the event is shared): parking
   // again would notify again and keep every parked worker bouncing. It unparks before it
-  // drains, so PauseAndDrain never sees every worker parked while one holds a message.
+  // drains, and NoteWorkerUnparked counts the unpark, so PauseAndDrain can tell that a
+  // worker unparked and popped between its parked-count and inbox reads.
   if (parked_) {
     if (inbox_.Empty()) {
       return false;

@@ -1,6 +1,7 @@
 #include "src/ft/checkpoint.h"
 
-#include <map>
+#include <algorithm>
+#include <tuple>
 
 #include "src/base/logging.h"
 #include "src/core/worker.h"
@@ -48,17 +49,21 @@ std::vector<uint8_t> CheckpointProcess(Controller& ctl) {
     w.PatchU32(len_at, static_cast<uint32_t>(w.size() - body_at));
   }
 
-  // (c) Pending notification requests (the queues themselves are empty after the drain).
-  std::vector<std::pair<VertexAddress, Timestamp>> pending;
+  // (c) Pending notification requests (the queues themselves are empty after the drain),
+  // in a canonical order: a worker holds them in request order, which varies from run to
+  // run, and the image must be a function of the computation's state alone.
+  std::vector<std::tuple<StageId, uint32_t, Timestamp>> pending;
   for (uint32_t i = 0; i < ctl.config().workers_per_process; ++i) {
     for (const Worker::PendingNotify& n : ctl.worker(i).pending_notifications()) {
-      pending.emplace_back(n.vertex->address(), n.time);
+      const VertexAddress addr = n.vertex->address();
+      pending.emplace_back(addr.stage, addr.index, n.time);
     }
   }
+  std::sort(pending.begin(), pending.end());
   w.WriteU32(static_cast<uint32_t>(pending.size()));
-  for (const auto& [addr, t] : pending) {
-    w.WriteU32(addr.stage);
-    w.WriteU32(addr.index);
+  for (const auto& [stage, index, t] : pending) {
+    w.WriteU32(stage);
+    w.WriteU32(index);
     t.Encode(w);
   }
 
@@ -69,116 +74,6 @@ std::vector<uint8_t> CheckpointProcess(Controller& ctl) {
   }
   return std::move(w.buffer());
 }
-
-std::vector<InputEpochs> RestoreProcess(Controller& ctl, std::vector<uint8_t> image,
-                                        std::vector<ProgressUpdate>* restored_pending) {
-  NAIAD_CHECK(!ctl.started());
-  ByteReader r(image);
-  NAIAD_CHECK(r.ReadU32() == kMagic) << "not a checkpoint image";
-  std::vector<InputEpochs> inputs(r.ReadU32());
-  for (InputEpochs& in : inputs) {
-    in.stage = r.ReadU32();
-    const bool open = r.ReadU8() != 0;
-    const uint64_t epoch = r.ReadU64();
-    in.next_epoch = open ? epoch : 0;
-    in.closed = !open;
-  }
-  NAIAD_CHECK(r.ok());
-  if (restored_pending != nullptr) {
-    // Skim ahead to the pending-notification section so the caller has the peer-bound
-    // updates before Start() (vertex bodies are opaque; skip by their length prefixes).
-    restored_pending->clear();
-    ByteReader skim = r;
-    const uint32_t n_vertices = skim.ReadU32();
-    for (uint32_t i = 0; i < n_vertices && skim.ok(); ++i) {
-      skim.ReadU32();
-      skim.ReadU32();
-      const uint32_t len = skim.ReadU32();
-      NAIAD_CHECK(skim.ok() && skim.remaining() >= len);
-      for (uint32_t skip = 0; skip < len; ++skip) {
-        skim.ReadU8();
-      }
-    }
-    const uint32_t n_pending = skim.ReadU32();
-    for (uint32_t i = 0; i < n_pending; ++i) {
-      const StageId s = skim.ReadU32();
-      skim.ReadU32();  // vertex index: the tracker counts per-location, not per-vertex
-      Timestamp t;
-      NAIAD_CHECK(t.Decode(skim));
-      restored_pending->push_back(
-          ProgressUpdate{Pointstamp{t, Location::Stage(s)}, +1});
-    }
-    NAIAD_CHECK(skim.ok());
-  }
-
-  // With a non-null restored_pending the pending +1s are deferred to the caller's
-  // post-Start Broadcast (see checkpoint.h); only the requests themselves are re-created.
-  const bool defer_pending = restored_pending != nullptr;
-  ctl.SetStartOverride([image = std::move(image), inputs, defer_pending](
-                           Controller& c, ProgressBuffer& updates) {
-    const uint64_t span_t0 = obs::MonotonicNs();
-    ByteReader r(image);
-    NAIAD_CHECK(r.ReadU32() == kMagic);
-    const uint32_t n_inputs = r.ReadU32();
-    for (uint32_t i = 0; i < n_inputs; ++i) {
-      const StageId s = r.ReadU32();
-      const bool open = r.ReadU8() != 0;
-      const uint64_t epoch = r.ReadU64();
-      if (open) {
-        // Mirror Start(): one active pointstamp per external producer, one per process,
-        // seeded at the full cluster-wide count on every process (never broadcast).
-        updates.Add(Pointstamp{Timestamp(epoch), Location::Stage(s)},
-                    static_cast<int64_t>(c.config().processes));
-      }
-    }
-    const uint32_t n_vertices = r.ReadU32();
-    for (uint32_t i = 0; i < n_vertices; ++i) {
-      const StageId s = r.ReadU32();
-      const uint32_t index = r.ReadU32();
-      const uint32_t len = r.ReadU32();
-      NAIAD_CHECK(r.ok() && r.remaining() >= len);
-      VertexBase* v = c.LocalVertex(s, index);
-      NAIAD_CHECK(v != nullptr) << "checkpoint does not match graph: stage " << s;
-      ByteReader body(std::span<const uint8_t>(image.data() + (image.size() - r.remaining()),
-                                               len));
-      NAIAD_CHECK(v->Restore(body));
-      for (uint32_t skip = 0; skip < len; ++skip) {
-        r.ReadU8();
-      }
-    }
-    const uint32_t n_pending = r.ReadU32();
-    for (uint32_t i = 0; i < n_pending; ++i) {
-      const StageId s = r.ReadU32();
-      const uint32_t index = r.ReadU32();
-      Timestamp t;
-      NAIAD_CHECK(t.Decode(r));
-      VertexBase* v = c.LocalVertex(s, index);
-      NAIAD_CHECK(v != nullptr);
-      v->worker().AddNotificationRequest(v, t);
-      if (!defer_pending) {
-        updates.Add(Pointstamp{t, Location::Stage(s)}, +1);
-      }
-    }
-    NAIAD_CHECK(r.ok());
-    if (c.obs().tracer().enabled()) {
-      c.obs().tracer().ControlSpan(obs::TraceKind::kRestore, span_t0, obs::MonotonicNs(),
-                                   image.size(), 0, 0);
-    }
-  });
-  return inputs;
-}
-
-// ---- Selective recovery (Falkirk Wheel) restore variants -----------------------------
-//
-// Under selective recovery every process rebuilds its tracker from scratch after a
-// failure, and the cluster-wide state is reassembled by SUMMING per-process seed
-// contributions exchanged over the control plane (kCtlSeedState) — processes restart
-// from different logical times (survivors at their stall point, the replacement at the
-// last durable checkpoint), so the symmetric everyone-seeds-the-same-view rule of
-// RestoreProcess cannot apply. Each process therefore contributes only what it OWNS:
-// +1 per open input it hosts (at its own epoch position) and +1 per pending
-// notification of its local vertices. The caller broadcasts `seeds` to every process
-// (including itself) before releasing the paused workers.
 
 std::vector<InputEpochs> PeekImageInputs(const std::vector<uint8_t>& image) {
   ByteReader r(image);
@@ -195,17 +90,29 @@ std::vector<InputEpochs> PeekImageInputs(const std::vector<uint8_t>& image) {
   return inputs;
 }
 
-std::vector<InputEpochs> RestoreProcessSelective(Controller& ctl,
-                                                 std::vector<uint8_t> image,
-                                                 std::vector<ProgressUpdate>* seeds) {
-  NAIAD_CHECK(!ctl.started() && seeds != nullptr);
-  seeds->clear();
+// A process contributes only what it owns: +1 per open input it hosts (its own producer
+// handle, at its own epoch) and +1 per pending notification of its local vertices. With
+// `seeds` the contributions go to the caller's seed exchange; without, this is the only
+// process and they seed the local tracker.
+std::vector<InputEpochs> RestoreProcess(Controller& ctl, std::vector<uint8_t> image,
+                                        std::vector<ProgressUpdate>* seeds) {
+  NAIAD_CHECK(!ctl.started());
+  NAIAD_CHECK(seeds != nullptr || ctl.config().processes == 1)
+      << "a cluster restore contributes its seeds through the seed exchange";
   std::vector<InputEpochs> inputs = PeekImageInputs(image);
-
+  if (seeds != nullptr) {
+    seeds->clear();
+  }
   ctl.SetStartOverride([image = std::move(image), seeds](Controller& c,
                                                          ProgressBuffer& updates) {
-    (void)updates;  // nothing is seeded locally; the seed exchange applies everything
     const uint64_t span_t0 = obs::MonotonicNs();
+    const auto contribute = [&](const Pointstamp& p) {
+      if (seeds != nullptr) {
+        seeds->push_back(ProgressUpdate{p, +1});
+      } else {
+        updates.Add(p, +1);
+      }
+    };
     ByteReader r(image);
     NAIAD_CHECK(r.ReadU32() == kMagic);
     const uint32_t n_inputs = r.ReadU32();
@@ -214,9 +121,7 @@ std::vector<InputEpochs> RestoreProcessSelective(Controller& ctl,
       const bool open = r.ReadU8() != 0;
       const uint64_t epoch = r.ReadU64();
       if (open) {
-        // This process's own producer handle only: +1, not +processes.
-        seeds->push_back(
-            ProgressUpdate{Pointstamp{Timestamp(epoch), Location::Stage(s)}, +1});
+        contribute(Pointstamp{Timestamp(epoch), Location::Stage(s)});
       }
     }
     const uint32_t n_vertices = r.ReadU32();
@@ -243,7 +148,7 @@ std::vector<InputEpochs> RestoreProcessSelective(Controller& ctl,
       VertexBase* v = c.LocalVertex(s, index);
       NAIAD_CHECK(v != nullptr);
       v->worker().AddNotificationRequest(v, t);
-      seeds->push_back(ProgressUpdate{Pointstamp{t, Location::Stage(s)}, +1});
+      contribute(Pointstamp{t, Location::Stage(s)});
     }
     NAIAD_CHECK(r.ok());
     if (c.obs().tracer().enabled()) {
@@ -254,15 +159,13 @@ std::vector<InputEpochs> RestoreProcessSelective(Controller& ctl,
   return inputs;
 }
 
-void FreshStartSelective(Controller& ctl, std::vector<ProgressUpdate>* seeds) {
+void FreshStart(Controller& ctl, std::vector<ProgressUpdate>* seeds) {
   NAIAD_CHECK(!ctl.started() && seeds != nullptr);
   seeds->clear();
-  // A replacement with no durable checkpoint boots from logical time zero, but still
-  // under the per-process contribution rule: its own epoch-0 producer handles and the
-  // initial notifications of its LOCAL vertices (normal Start seeds the cluster-wide
-  // counts locally on every process; here each owner contributes its share instead).
-  ctl.SetStartOverride([seeds](Controller& c, ProgressBuffer& updates) {
-    (void)updates;
+  // Logical time zero under the same contribution rule: this process's epoch-0 producer
+  // handles and the initial notifications of its local vertices (a plain Start seeds the
+  // cluster-wide counts locally on every process instead).
+  ctl.SetStartOverride([seeds](Controller& c, ProgressBuffer&) {
     const LogicalGraph& g = c.graph();
     for (StageId s = 0; s < g.num_stages(); ++s) {
       const StageDef& def = g.stage(s);

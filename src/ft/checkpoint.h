@@ -11,8 +11,10 @@
 //
 // Scope: per-process images. Multi-process checkpointing layers a global quiet point on
 // top (src/ft/cluster_recovery.h runs the checkpoint barrier of src/net/cluster.h, then
-// calls CheckpointProcess on every process with a cluster-consistent epoch tag); the
-// Fig. 7c benchmark exercises the single-process multi-worker path, as DESIGN.md documents.
+// calls CheckpointProcess on every process with a cluster-consistent epoch tag, and every
+// restart reassembles the cluster's tracker from per-process seeds, see RestoreProcess);
+// the Fig. 7c benchmark exercises the single-process multi-worker path, as DESIGN.md
+// documents.
 
 #ifndef SRC_FT_CHECKPOINT_H_
 #define SRC_FT_CHECKPOINT_H_
@@ -37,37 +39,25 @@ struct InputEpochs {
 };
 
 // Arranges for `ctl` (not started, same graph shape) to boot from `image` instead of from
-// epoch 0. Returns the saved input positions so the caller can fast-forward its
-// InputHandles (InputHandle::RestoreEpoch). Must be called before ctl.Start().
+// epoch 0: vertex state is restored and pending notification requests are re-registered.
+// Returns the saved input positions so the caller can fast-forward its InputHandles
+// (InputHandle::RestoreEpoch). Must be called before ctl.Start().
 //
-// Cluster semantics: open-input pointstamps are reseeded at the full cluster-wide count
-// (+processes, mirroring Start), because every process seeds the same global view. Pending
-// notification requests, by contrast, are per-process local state whose +1s were broadcast
-// to peers in the original run. When `restored_pending` is null (single-process restore)
-// they are seeded locally like everything else. When non-null, ownership of those +1s
-// transfers to the caller: they are NOT seeded at Start (only the notification requests
-// are re-registered), and the caller must inject them via ProgressRouter::Broadcast after
-// Start() and strictly before feeding any input — the normal broadcast channel is what
-// orders them ahead of this process's next open-input retirement at every peer, and the
-// restored open-input pointstamp dominates them until then (see progress_router.h).
+// Every process seeds its tracker with its own contributions only: +1 per open input it
+// hosts at its saved epoch, +1 per pending notification. In a cluster, `seeds` (filled
+// during Start; must outlive it) receives them, and the caller broadcasts them to every
+// process through ClusterControl::RunSeedExchange while the workers are paused
+// (Controller::StartPaused). Summing every process's contributions reassembles the
+// cluster-wide tracker state, whether all processes restart from one checkpoint or
+// survivors and a replacement restart from different logical times. With `seeds` null
+// this must be the only process, and the contributions seed the local tracker at Start.
 std::vector<InputEpochs> RestoreProcess(Controller& ctl, std::vector<uint8_t> image,
-                                        std::vector<ProgressUpdate>* restored_pending = nullptr);
+                                        std::vector<ProgressUpdate>* seeds = nullptr);
 
-// Selective-recovery restore: like RestoreProcess, but NOTHING is seeded into the local
-// tracker at Start. Instead `seeds` (filled during Start; must outlive it) receives this
-// process's own contributions — +1 per open input it hosts at its saved epoch, +1 per
-// pending notification — which the caller broadcasts to every process (kCtlSeedState,
-// include-self) while workers are still paused (Controller::StartPaused). Summing all
-// processes' contributions reassembles the cluster-wide tracker state even though
-// survivors and the replacement restart from different logical times.
-std::vector<InputEpochs> RestoreProcessSelective(Controller& ctl,
-                                                 std::vector<uint8_t> image,
-                                                 std::vector<ProgressUpdate>* seeds);
-
-// The no-durable-checkpoint variant for a replacement process booting from logical time
-// zero under the same per-process contribution rule (epoch-0 inputs + local initial
-// notifications).
-void FreshStartSelective(Controller& ctl, std::vector<ProgressUpdate>* seeds);
+// The no-checkpoint counterpart for a cluster process booting from logical time zero:
+// `seeds` receives its epoch-0 inputs and the initial notifications of its local vertices,
+// under the same contribution rule.
+void FreshStart(Controller& ctl, std::vector<ProgressUpdate>* seeds);
 
 // Parses only the input-position header of a checkpoint image (no controller needed).
 // Selective recovery uses this on the survivor's in-memory stall image to detect closed

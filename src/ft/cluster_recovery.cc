@@ -126,14 +126,6 @@ class MemberRunner {
   int Run(const ClusterAppFactory& factory);
 
  private:
-  // How Build assembles the next generation's state (RecoveryMode picks the non-default
-  // kinds; kCoordinated also covers the initial build and the done-member rejoin).
-  enum class BuildKind : uint8_t {
-    kCoordinated,           // RestoreProcess from own image (or fresh start)
-    kSelectiveSurvivor,     // restore the pre-teardown in-memory stall image
-    kSelectiveReplacement,  // RestoreProcessSelective from disk / FreshStartSelective
-  };
-
   void SendStatus(uint8_t tag, uint64_t a, uint64_t b, uint64_t c = 0) {
     NAIAD_CHECK(WriteRecord(status_fd_, Record{tag, a, b, c}));
   }
@@ -144,8 +136,11 @@ class MemberRunner {
   // After DONE: 0 = EXIT (normal), 1 = GO (a restart raced our completion; rejoin it).
   int WaitExitOrGo(uint32_t* gen, uint64_t* restore, uint64_t* mode);
 
-  void Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_epoch,
-             BuildKind kind = BuildKind::kCoordinated);
+  // Builds generation `gen` and seeds it through the seed exchange. A member holding a
+  // stall image (PrepareSelective, then a selective GO) is a survivor and keeps that
+  // state; every other member restores its image at `restore_epoch`, or starts from zero.
+  // `selective` is the GO's policy: whether this generation skips the per-epoch barriers.
+  void Build(uint32_t gen, uint64_t restore_epoch, bool selective, uint64_t* start_epoch);
   void Teardown();
   // Runs epochs [start_epoch, total) plus the termination barrier; false = recovery.
   bool RunEpochs(uint64_t start_epoch);
@@ -288,8 +283,8 @@ int MemberRunner::WaitExitOrGo(uint32_t* gen, uint64_t* restore, uint64_t* mode)
   return 0;
 }
 
-void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_epoch,
-                         BuildKind kind) {
+void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, bool selective,
+                         uint64_t* start_epoch) {
   gen_ = gen;
   Config c;
   c.process_id = slot_;
@@ -341,42 +336,15 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
   }
   app_ = (*factory_)(*job_->ctl);
 
-  const bool sel_survivor = kind == BuildKind::kSelectiveSurvivor;
-  const bool sel_replacement = kind == BuildKind::kSelectiveReplacement;
-  selective_gen_ = sel_survivor || sel_replacement;
-
-  std::vector<ProgressUpdate> pending;  // coordinated restore path
-  std::vector<ProgressUpdate> seeds;    // selective path (filled during StartPaused)
-  if (sel_survivor) {
-    // Survivor: resume from the in-memory stall image — state is KEPT, nothing replays
-    // locally. The image's input positions say where this member's feed resumes.
-    NAIAD_CHECK(!mem_image_.empty());
-    const std::vector<InputEpochs> inputs =
-        RestoreProcessSelective(*job_->ctl, std::move(mem_image_), &seeds);
+  selective_gen_ = selective;
+  const bool survivor = !mem_image_.empty();
+  NAIAD_CHECK(!survivor || selective);
+  std::vector<ProgressUpdate> seeds;  // this process's contributions, filled at Start
+  std::vector<InputEpochs> inputs;
+  if (survivor) {
+    // Resume from the in-memory stall image: state is KEPT, nothing replays locally.
+    inputs = RestoreProcess(*job_->ctl, std::move(mem_image_), &seeds);
     mem_image_.clear();
-    app_->RestoreInputs(inputs);
-    uint64_t start = 0;
-    for (const InputEpochs& in : inputs) {
-      if (!in.closed) {
-        start = std::max(start, in.next_epoch);
-      }
-    }
-    *start_epoch = start;
-  } else if (sel_replacement) {
-    if (restore_epoch != kNoManifestEpoch) {
-      CheckpointReadResult res =
-          ReadCheckpointFileEx(ClusterImagePath(cfg_.ckpt_dir, slot_, restore_epoch));
-      NAIAD_CHECK(res.ok()) << "manifest-committed image unreadable: epoch "
-                            << restore_epoch << " status "
-                            << static_cast<int>(res.status);
-      const std::vector<InputEpochs> inputs =
-          RestoreProcessSelective(*job_->ctl, std::move(res.image), &seeds);
-      app_->RestoreInputs(inputs);
-      *start_epoch = restore_epoch + 1;
-    } else {
-      FreshStartSelective(*job_->ctl, &seeds);
-      *start_epoch = 0;
-    }
   } else if (restore_epoch != kNoManifestEpoch) {
     CheckpointReadResult res =
         ReadCheckpointFileEx(ClusterImagePath(cfg_.ckpt_dir, slot_, restore_epoch));
@@ -384,12 +352,17 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     // adoptable, so anything other than a clean read is a protocol violation.
     NAIAD_CHECK(res.ok()) << "manifest-committed image unreadable: epoch " << restore_epoch
                           << " status " << static_cast<int>(res.status);
-    const std::vector<InputEpochs> inputs =
-        RestoreProcess(*job_->ctl, std::move(res.image), &pending);
-    app_->RestoreInputs(inputs);
-    *start_epoch = restore_epoch + 1;
+    inputs = RestoreProcess(*job_->ctl, std::move(res.image), &seeds);
   } else {
-    *start_epoch = 0;
+    FreshStart(*job_->ctl, &seeds);
+  }
+  app_->RestoreInputs(inputs);
+  // The feed resumes where the image's open inputs stand (epoch 0 from zero).
+  *start_epoch = 0;
+  for (const InputEpochs& in : inputs) {
+    if (!in.closed) {
+      *start_epoch = std::max(*start_epoch, in.next_epoch);
+    }
   }
 
   {
@@ -409,7 +382,7 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
     }
   };
   cb.on_peer_down = [control](uint32_t peer) { control->ReportFailure(peer); };
-  if (sel_survivor) {
+  if (survivor) {
     // The replacement deterministically regenerates the data frames the victim already
     // sent us since the watermark; our state already reflects them. Seeding the receive
     // expectation routes those first replay_expect_ frames through the dedup path,
@@ -431,44 +404,38 @@ void MemberRunner::Build(uint32_t gen, uint64_t restore_epoch, uint64_t* start_e
   }
 
   // The controller starts before the transport, so no peer frame can reach it earlier;
-  // it starts paused, so no worker runs until this process's share of the cluster's
-  // progress state is in flight. Selective generations reassemble the cluster-wide
-  // tracker state by summing every process's own contributions (survivors at their
-  // stall cut, the replacement at the watermark), plus one +count per cached log record
-  // about to be re-sent — the replacement re-processes exactly those. Nobody resumes
-  // until every contribution is globally applied (the ack/release barrier), so no
-  // transient negative can be observed as a frontier.
+  // it starts paused, so no worker runs until the cluster's progress state is assembled.
+  // Every generation reassembles it by summing every process's own contributions (each
+  // at its own restart point: the checkpoint, a survivor's stall cut, or zero), plus one
+  // +count per cached log record a survivor is about to re-send — the replacement
+  // re-processes exactly those. Nobody resumes until every contribution is globally
+  // applied (the ack/release barrier), so no transient negative can be observed as a
+  // frontier.
   const uint64_t resend_n = resend_.size();
   job_->ctl->StartPaused();
   transport_->Start(ports_, std::move(cb));
   const uint64_t seed_t0 = obs::MonotonicNs();
-  if (selective_gen_) {
-    if (sel_survivor) {
-      for (const OutboundRecord& rec : resend_) {
-        seeds.push_back(ProgressUpdate{
-            Pointstamp{rec.time, Location::Connector(rec.ch)}, rec.count});
-      }
+  if (survivor) {
+    for (const OutboundRecord& rec : resend_) {
+      seeds.push_back(
+          ProgressUpdate{Pointstamp{rec.time, Location::Connector(rec.ch)}, rec.count});
     }
-    NAIAD_CHECK(control_->RunSeedExchange(seeds))
-        << "selective seed exchange failed (p" << slot_ << " gen " << gen << ")";
-    if (sel_survivor) {
-      // Re-send the validated log tail so it is re-logged: record k of the new window
-      // rides link sequence k again, keeping the invariant for a later rebase. No
-      // progress updates accompany these sends — the seeds above carried their +counts.
-      // ResendTail appends the whole tail and makes it durable with a single Sync
-      // before the first frame is sent, instead of one fsync per frame.
-      outlogs_->ResendTail(*transport_, victim_, std::move(resend_));
-    }
-  } else if (!pending.empty()) {
-    // Restored pending-notification +1s travel the ordinary broadcast channel, after
-    // Start and strictly before any input is fed (see RestoreProcess's contract).
-    job_->router->Broadcast(std::move(pending));
+  }
+  NAIAD_CHECK(control_->RunSeedExchange(seeds))
+      << "seed exchange failed (p" << slot_ << " gen " << gen << ")";
+  if (survivor) {
+    // Re-send the validated log tail so it is re-logged: record k of the new window
+    // rides link sequence k again, keeping the invariant for a later rebase. No
+    // progress updates accompany these sends — the seeds above carried their +counts.
+    // ResendTail appends the whole tail and makes it durable with a single Sync
+    // before the first frame is sent, instead of one fsync per frame.
+    outlogs_->ResendTail(*transport_, victim_, std::move(resend_));
   }
   job_->ctl->Resume();  // also wakes a worker for updates the router holds
-  if (selective_gen_ && job_->ctl->obs().tracer().enabled()) {
-    job_->ctl->obs().tracer().ControlSpan(obs::TraceKind::kSelectiveSeed, seed_t0,
+  if (job_->ctl->obs().tracer().enabled()) {
+    job_->ctl->obs().tracer().ControlSpan(obs::TraceKind::kSeedExchange, seed_t0,
                                           obs::MonotonicNs(), seeds.size(), resend_n,
-                                          sel_replacement ? 1 : 0);
+                                          survivor ? 1 : 0);
   }
   resend_.clear();
 }
@@ -714,14 +681,13 @@ int MemberRunner::Run(const ClusterAppFactory& factory) {
     if (!WaitGo(&gen, &restore, &mode)) {
       return Cleanup(0);  // the run finished without us; nothing to rejoin
     }
-    Build(gen, restore, &start_epoch,
-          mode == 1 ? BuildKind::kSelectiveReplacement : BuildKind::kCoordinated);
+    Build(gen, restore, mode == 1, &start_epoch);
     NoteRecovered(t0, restore, mode);
     downtime_ns_ = obs::MonotonicNs() - t0;
     last_mode_ = mode;
     SendStatus(kStRecoverStats, 0, downtime_ns_, mode);
   } else {
-    Build(0, kNoManifestEpoch, &start_epoch);
+    Build(0, kNoManifestEpoch, /*selective=*/false, &start_epoch);
   }
 
   for (;;) {
@@ -740,7 +706,7 @@ int MemberRunner::Run(const ClusterAppFactory& factory) {
       NAIAD_CHECK(mode == 0) << "selective GO sent to a finished member";
       const uint64_t t0 = obs::MonotonicNs();
       Teardown();
-      Build(gen, restore, &start_epoch);
+      Build(gen, restore, /*selective=*/false, &start_epoch);
       NoteRecovered(t0, restore, mode);
       continue;
     }
@@ -776,13 +742,12 @@ int MemberRunner::Run(const ClusterAppFactory& factory) {
     }
     if (mode == 1) {
       NAIAD_CHECK(sel_ok == 1) << "selective GO without local preconditions";
-      Build(gen, restore, &start_epoch, BuildKind::kSelectiveSurvivor);
     } else {
-      mem_image_.clear();
+      mem_image_.clear();  // rolled back with everyone: restore from disk instead
       resend_.clear();
       victim_ = kNoVictim;
-      Build(gen, restore, &start_epoch);
     }
+    Build(gen, restore, mode == 1, &start_epoch);
     NoteRecovered(t0, restore, mode);
     downtime_ns_ = obs::MonotonicNs() - t0;
     last_mode_ = mode;

@@ -26,9 +26,11 @@
 // manifest-complete checkpoint epoch (the manifest is written atomically and only after
 // every image is durable, so a kill during the barrier itself simply rolls back to the
 // previous manifest), and GOes everyone into the next generation: fresh Controller, same
-// fixed port, generation-tagged re-dial, RestoreProcess from the member's own image, input
-// replay from the recorded InputEpochs, and re-injection of restored pending-notification
-// +1s through the ordinary progress Broadcast channel.
+// fixed port, generation-tagged re-dial, RestoreProcess from the member's own image, the
+// seed exchange (every process contributes its own open inputs and pending notifications
+// while paused, and resumes once all contributions are applied everywhere), and input
+// replay from the recorded InputEpochs. Every generation, the first included, is seeded
+// through that exchange.
 
 #ifndef SRC_FT_CLUSTER_RECOVERY_H_
 #define SRC_FT_CLUSTER_RECOVERY_H_
@@ -79,6 +81,8 @@ using ClusterAppFactory =
 //                 back to a coordinated restart whenever the selective preconditions
 //                 fail (stall barrier timeout, torn log, closed inputs, rebase/manifest
 //                 mismatch, a second failure within a selective generation).
+// The mode is policy only — whom to roll back, and whether a selective generation skips
+// the per-epoch barriers. Both restart through the same seed exchange.
 enum class RecoveryMode : uint8_t {
   kCoordinated = 0,
   kSelective = 1,

@@ -61,10 +61,11 @@ inline constexpr uint8_t kCtlTeardownJob = 9;
 // Selective rollback recovery (src/ft/log_recovery.h). kCtlSelectiveRecover replaces the
 // whole-cluster kCtlRecover broadcast when selective mode is on (it carries the victim so
 // every survivor can target its stall barrier and log replay); kCtlStallAbort ends every
-// survivor's stall barrier at once; kCtlSeed* drive the post-rebuild seed-state exchange —
-// each process broadcasts its own tracker contributions, acks once it holds all of them,
-// and resumes only after the release, so every −delta any process ever emits is preceded
-// everywhere by its seeded could-result-in ancestor.
+// survivor's stall barrier at once. kCtlSeed* drive the seed-state exchange that starts
+// every member generation, coordinated or selective — each process broadcasts its own
+// tracker contributions, acks once it holds all of them, and resumes only after the
+// release, so every −delta any process ever emits is preceded everywhere by its seeded
+// could-result-in ancestor.
 inline constexpr uint8_t kCtlSelectiveRecover = 10;
 inline constexpr uint8_t kCtlSeedState = 13;
 inline constexpr uint8_t kCtlSeedAck = 14;
@@ -165,7 +166,7 @@ struct ClusterStats {
 // Per-process cluster control plane over kControl frames, for the kill-and-recover
 // member (src/ft/cluster_recovery.h): the quiet-point round machine and its three
 // barriers (termination, checkpoint, survivor stall), the checkpoint's durable/commit
-// exchange, the selective seed exchange, and failure/recovery signalling. One instance
+// exchange, the per-generation seed exchange, and failure/recovery signalling. One instance
 // per (Controller, TcpTransport) generation, over the transport's own counters; recovery
 // tears it down with the rest and builds a fresh one. A barrier's coordinator is its
 // lowest participant (process 0, or 1 when the stall victim is 0); failure reports go to
@@ -192,7 +193,7 @@ class ClusterControl {
   void RequestRecovery(uint32_t victim);
 
   // Selective mode: failure broadcasts carry the victim (kCtlSelectiveRecover), and the
-  // stall/seed machinery below becomes live. Set once, right after construction.
+  // stall machinery below becomes live. Set once, right after construction.
   void SetSelectiveMode(bool on) { selective_mode_.store(on, std::memory_order_release); }
   // The process whose death triggered the pending recovery (first report wins), or
   // kNoVictim when no failure has been attributed yet.
@@ -220,12 +221,14 @@ class ClusterControl {
   void AbortSelectiveStall();
   bool stall_aborted() const { return stall_aborted_.load(std::memory_order_acquire); }
 
-  // Post-rebuild seed exchange: broadcasts this process's tracker contributions (from
-  // RestoreProcessSelective / FreshStartSelective, plus the caller's replay +counts),
-  // applies every process's contributions as they arrive, acks to process 0 once all are
-  // held, and returns after the coordinator's release — at which point it is safe to
-  // Resume() and start emitting deltas. Workers must be paused (Controller::StartPaused)
-  // for the duration. False on timeout (a peer died mid-rebuild).
+  // The seed exchange that starts every member generation: broadcasts this process's
+  // tracker contributions (from RestoreProcess or FreshStart, plus a survivor's replay
+  // +counts), applies every process's contributions as they arrive, acks to process 0
+  // once all are held, and returns after the coordinator's release — at which point it is
+  // safe to Resume() and start emitting deltas. Every process must call it, whether it
+  // restarts from a checkpoint, from a survivor's stall cut or from zero. Workers must be
+  // paused (Controller::StartPaused) for the duration. False on timeout (a peer died
+  // mid-rebuild).
   bool RunSeedExchange(const std::vector<ProgressUpdate>& seeds);
 
   // Blocks until the cluster-wide termination verdict. Returns true on successful

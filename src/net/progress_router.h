@@ -97,13 +97,6 @@ class DistributedProgressRouter final : public ProgressRouter {
   // True when neither accumulator level holds any update. The cluster checkpoint barrier
   // uses this as part of its local-quiet predicate: a held update is in-flight progress
   // traffic even though no frame carries it yet.
-  //
-  // Recovery note: restored pending-notification +1s (RestoreProcess's deferred updates)
-  // are injected through the ordinary Broadcast() above, NOT through a bespoke direct
-  // frame. That is what makes them safe: they then travel the same channel, in FIFO order,
-  // as the -1 this process later emits when it re-feeds its open input epoch — so no peer
-  // can retire the open-input pointstamp (the only guard dominating the restored
-  // notifications) before it has applied the +1s.
   bool Empty() const;
 
   // Scope attribution of the emitted updates (bench/fig6c accounting). An update is

@@ -44,8 +44,8 @@ KindDesc Describe(TraceKind k) {
       return {"stray_frame", false};
     case TraceKind::kSelectiveStall:
       return {"selective_stall", true};
-    case TraceKind::kSelectiveSeed:
-      return {"selective_seed", true};
+    case TraceKind::kSeedExchange:
+      return {"seed_exchange", true};
     case TraceKind::kLeaseExpired:
       return {"lease_expired", false};
     case TraceKind::kTerminationBarrier:
@@ -129,9 +129,9 @@ void AppendArgs(std::string& out, const TraceEvent& e) {
                     static_cast<unsigned long long>(e.a1),
                     static_cast<unsigned long long>(e.a2));
       break;
-    case TraceKind::kSelectiveSeed:
+    case TraceKind::kSeedExchange:
       std::snprintf(buf, sizeof(buf),
-                    "{\"seeds\": %llu, \"replayed\": %llu, \"replacement\": %llu}",
+                    "{\"seeds\": %llu, \"replayed\": %llu, \"kept_state\": %llu}",
                     static_cast<unsigned long long>(e.a0),
                     static_cast<unsigned long long>(e.a1),
                     static_cast<unsigned long long>(e.a2));

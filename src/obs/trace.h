@@ -54,8 +54,8 @@ enum class TraceKind : uint8_t {
   kStrayFrame,           // a0=job id, a1=src process, a2=frame type
   kSelectiveStall,       // a0=victim process, a1=barrier rounds, a2=1 on success;
                          // dur=survivor stall span (pause → verdict)
-  kSelectiveSeed,        // a0=seed updates contributed, a1=log records replayed,
-                         // a2=1 on the replacement; dur=seed exchange span
+  kSeedExchange,         // a0=seed updates contributed, a1=log records replayed,
+                         // a2=1 when a survivor kept its state; dur=seed exchange span
   kLeaseExpired,         // a0=peer process, a1=silence_ns, a2=lease timeout_ns
   kTerminationBarrier,   // a0=0, a1=barrier rounds, a2=1 on termination;
                          // dur=termination rounds (first drained wait → verdict)

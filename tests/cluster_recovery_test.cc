@@ -1,6 +1,7 @@
 // Cluster-wide checkpointing and single-process kill-and-recover (§3.4).
 //
-// A 3-process forked cluster runs a partitioned word count, checkpointing at a global
+// A 3-process forked cluster runs a partitioned word count (and a stage whose notification
+// requests outlive every checkpoint, EpochNotifyVertex), checkpointing at a global
 // quiet point every few epochs. The driver SIGKILLs one process at a seed-chosen point —
 // mid-feed or inside the checkpoint barrier itself — and the survivors plus a replacement
 // restore from the last manifest-complete checkpoint and replay. For every seed the final
@@ -16,6 +17,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,6 +67,59 @@ class CountVertex final : public SinkVertex<uint64_t> {
   std::map<uint64_t, uint64_t> counts_;
 };
 
+// Counts records per epoch and, on the first record of epoch e, requests a notification
+// at e + 1, so every checkpoint image carries pending notification requests. OnNotify(t)
+// records how many records of epochs <= t the vertex holds: a notification that fires
+// before all of them arrived records less, so the images depend on when it fires.
+class EpochNotifyVertex final : public SinkVertex<uint64_t> {
+ public:
+  void OnRecv(const Timestamp& t, std::vector<uint64_t>& batch) override {
+    const auto [it, first] = received_.try_emplace(t.epoch, 0);
+    if (first) {
+      NotifyAt(Timestamp(t.epoch + 1));
+    }
+    it->second += batch.size();
+  }
+  void OnNotify(const Timestamp& t) override {
+    uint64_t upto = 0;
+    for (const auto& [epoch, n] : received_) {
+      if (epoch <= t.epoch) {
+        upto += n;
+      }
+    }
+    fired_[t.epoch] = upto;
+  }
+  void Checkpoint(ByteWriter& w) const override {
+    WriteMap(w, received_);
+    WriteMap(w, fired_);
+  }
+  bool Restore(ByteReader& r) override {
+    ReadMap(r, &received_);
+    ReadMap(r, &fired_);
+    return r.ok();
+  }
+
+ private:
+  static void WriteMap(ByteWriter& w, const std::map<uint64_t, uint64_t>& m) {
+    w.WriteU32(static_cast<uint32_t>(m.size()));
+    for (const auto& [k, v] : m) {
+      w.WriteU64(k);
+      w.WriteU64(v);
+    }
+  }
+  static void ReadMap(ByteReader& r, std::map<uint64_t, uint64_t>* m) {
+    m->clear();
+    const uint32_t n = r.ReadU32();
+    for (uint32_t i = 0; i < n; ++i) {
+      const uint64_t k = r.ReadU64();
+      (*m)[k] = r.ReadU64();
+    }
+  }
+
+  std::map<uint64_t, uint64_t> received_;  // epoch -> records received at that epoch
+  std::map<uint64_t, uint64_t> fired_;     // notified epoch -> records at epochs <= it
+};
+
 class WordCountApp final : public ClusterApp {
  public:
   explicit WordCountApp(Controller& ctl) : ctl_(&ctl) {
@@ -77,6 +132,13 @@ class WordCountApp final : public ClusterApp {
         [](uint32_t) { return std::make_unique<CountVertex>(); });
     b.Connect<CountVertex, uint64_t>(in, sid, 0, [](const uint64_t& w) { return w; });
     probe_ = Probe(&ctl, sid);
+    StageOptions notify_opts;
+    notify_opts.name = "epoch_notify";
+    StageId nid = b.NewStage<EpochNotifyVertex>(
+        notify_opts, [](uint32_t) { return std::make_unique<EpochNotifyVertex>(); });
+    b.Connect<EpochNotifyVertex, uint64_t>(in, nid, 0,
+                                           [](const uint64_t& w) { return w / 7; });
+    notify_probe_ = Probe(&ctl, nid);
   }
 
   void FeedEpoch(uint64_t epoch) override {
@@ -88,7 +150,11 @@ class WordCountApp final : public ClusterApp {
     }
     handle_->OnNext(std::move(words));
   }
-  bool EpochPassed(uint64_t epoch) override { return probe_.Passed(epoch); }
+  // The notify stage's probe also waits out its pending notification at `epoch`, so a
+  // checkpoint after `epoch` always finds it fired.
+  bool EpochPassed(uint64_t epoch) override {
+    return probe_.Passed(epoch) && notify_probe_.Passed(epoch);
+  }
   void RestoreInputs(const std::vector<InputEpochs>& inputs) override {
     for (const InputEpochs& in : inputs) {
       if (in.stage == input_stage_) {
@@ -103,6 +169,7 @@ class WordCountApp final : public ClusterApp {
   std::shared_ptr<InputHandle<uint64_t>> handle_;
   StageId input_stage_ = 0;
   Probe probe_;
+  Probe notify_probe_;
 };
 
 ClusterRunConfig BaseConfig(const std::string& dir) {

@@ -9,10 +9,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <mutex>
 #include <set>
+#include <thread>
 
 #include "src/core/controller.h"
 #include "src/core/io.h"
@@ -329,6 +331,54 @@ TEST(CheckpointTest, LoopGraphWithPendingNotificationSurvivesRestore) {
   EXPECT_EQ(outputs[1], (std::multiset<uint64_t>{0, 1}));           // replayed epochs
   EXPECT_EQ(outputs.count(2), 0u);                                  // empty epoch: no batch
   EXPECT_EQ(outputs[3], (std::multiset<uint64_t>{0, 1, 2, 3}));
+}
+
+// PauseAndDrain must not return while a worker still runs a message, or a checkpoint
+// serializes state under a live callback. Its parked-count and inbox reads are separate,
+// and a worker can unpark and pop its last message between them. Two workers ping-pong a
+// countdown through a loop while this thread pauses mid-flight, checks that no callback
+// runs while paused, and resumes. `hops` is deliberately a plain
+// variable: under TSan, a callback racing the paused reader is reported as a race.
+TEST(CheckpointTest, PauseAndDrainLeavesNoCallbackInFlight) {
+  constexpr int kRounds = 300;
+  constexpr uint64_t kHops = 64;
+  std::atomic<int> in_flight{0};
+  uint64_t hops = 0;
+  Config cfg;
+  cfg.workers_per_process = 2;
+  Controller ctl(cfg);
+  {
+    GraphBuilder b(ctl);
+    auto [in, h] = NewInput<uint64_t>(b);
+    // Partitioned by value, so each hop x -> x - 1 crosses to the other worker.
+    const auto hop = [&](const uint64_t& x) {
+      in_flight.fetch_add(1);
+      ++hops;
+      in_flight.fetch_sub(1);
+      return x - 1;
+    };
+    const auto positive = [](const uint64_t& x) { return x > 0; };
+    Iterate<uint64_t>(in, 0, [](const uint64_t& x) { return x; },
+                      [&](LoopContext&, Stream<uint64_t> merged) {
+                        return Select(Where(merged, positive), hop);
+                      });
+    ctl.Start();
+    for (int round = 0; round < kRounds; ++round) {
+      h->OnNext({kHops});
+      ctl.PauseAndDrain();
+      const uint64_t seen = hops;
+      EXPECT_EQ(in_flight.load(), 0) << "round " << round;
+      std::this_thread::sleep_for(std::chrono::microseconds(20));
+      EXPECT_EQ(hops, seen) << "a callback ran while paused, round " << round;
+      ctl.Resume();
+      if (::testing::Test::HasFailure()) {
+        break;
+      }
+    }
+    h->OnCompleted();
+  }
+  ctl.Join();
+  EXPECT_EQ(hops % kHops, 0u);
 }
 
 size_t OpenFdCount() {
